@@ -47,7 +47,8 @@ bench-baseline:
 	cp BENCH_smoke.json baselines/BENCH_smoke.json
 
 # Simulation-kernel comparison (quick-scale workloads × schemes × core
-# counts, batched vs threaded backend measured back to back): emits the
+# counts; reference, threaded, and threaded with telemetry measured in
+# interleaved rounds): emits the
 # bench trajectory record BENCH_kernel.json (gitignored; gate it with
 # `make bench-kernel-check`, refresh the committed baseline with
 # `make bench-kernel-baseline`). See EXPERIMENTS.md "Kernel benchmarks"
@@ -58,8 +59,9 @@ bench-kernel:
 # Gate the freshest BENCH_kernel.json against the committed baseline:
 # simulated cycle/instruction counts enforced exactly (a drift means the
 # kernels are not running the same simulation), the dispatch-bound
-# cell's >= 2x threaded speedup enforced on any host, absolute Minstr/s
-# enforced only between matching host fingerprints.
+# cell's >= 13.4x threaded/reference speedup and every cell's <= 1.25x
+# telemetry overhead enforced on any host, absolute Minstr/s enforced
+# only between matching host fingerprints.
 bench-kernel-check: BENCH_kernel.json
 	$(GO) run ./cmd/cwspbench -bench-in BENCH_kernel.json -bench-check baselines/BENCH_kernel.json
 
@@ -73,14 +75,15 @@ bench-kernel-baseline:
 
 # The same cells as go-test benchmarks with allocation counts
 # (per-kernel sub-benchmarks; slower, but -benchmem shows the threaded
-# backend's zero steady-state allocations).
+# kernel's zero steady-state allocations).
 bench-kernel-gotest:
 	$(GO) test ./internal/simtest -run xxx -bench RunUntil -benchmem -benchtime 10x
 
 # Short differential-fuzz passes: the kernel-equivalence target (progen
-# seed × scheme × crash point, every kernel must agree byte-for-byte),
-# the threaded-backend 3-way differential (reference vs batched vs
-# threaded on the same fuzzed cell), the litmus spec grammar round-trip
+# seed × scheme × crash point, threaded must agree with reference
+# byte-for-byte), its observed arm (the same plus a fuzzed telemetry
+# sample interval and both tracers attached: manifests, series and
+# traces must agree too), the litmus spec grammar round-trip
 # (spec string → plan → spec), and the campaign-journal decoder
 # (arbitrary bytes → longest verifiable prefix, re-decode stable, fold
 # never panics).

@@ -56,8 +56,8 @@ func main() {
 		resume   = flag.Bool("resume", true, "serve cells from an existing cache (false recomputes and refreshes it)")
 		httpAddr = flag.String("http", "", "serve the live observability endpoint (/metrics, /progress, /events, /debug/pprof) on this address")
 		benchOut    = flag.String("bench-out", "", "emit a benchfmt trajectory record (BENCH_<name>.json) for this sweep")
-		benchKernel = flag.Bool("bench-kernel", false, "measure the simulation-kernel comparison (batched vs threaded per cell) instead of running experiments")
-		kernelReps  = flag.Int("bench-kernel-reps", 3, "alternating measurement batches per kernel per cell")
+		benchKernel = flag.Bool("bench-kernel", false, "measure the simulation-kernel comparison (reference vs threaded vs threaded+telemetry per cell) instead of running experiments")
+		kernelReps  = flag.Int("bench-kernel-reps", 20, "interleaved measurement rounds per cell (each variant keeps its fastest run)")
 		benchIn  = flag.String("bench-in", "", "with -bench-check: compare this existing record instead of running experiments")
 		checkVs  = flag.String("bench-check", "", "gate the sweep's record against this baseline record; exit 1 on regression")
 		strict   = flag.Bool("bench-strict", false, "enforce wall-clock gates even across differing host fingerprints")

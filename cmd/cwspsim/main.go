@@ -42,7 +42,7 @@ func main() {
 		metOut  = flag.String("metrics-out", "", "write a versioned run manifest (config, stats, histograms, series) to this JSON file")
 		tsOut   = flag.String("timeseries", "", "write the sampled telemetry time series as CSV to this file")
 		smplIv  = flag.Int64("sample-interval", 4096, "telemetry sampling interval in cycles (with -metrics-out/-timeseries)")
-		kernel  = flag.String("kernel", "fast", "simulation kernel: fast (alias batched), threaded (translate-once closure arrays), or reference (the legacy per-cycle stepper); all bit-identical, for cross-checking")
+		kernel  = flag.String("kernel", "threaded", "simulation kernel: threaded (the production kernel; telemetry and tracing run on it) or reference (the per-instruction oracle stepper); both bit-identical, for cross-checking")
 	)
 	flag.Parse()
 	if *wName == "" && *mt == 0 && *irFile == "" {
@@ -55,15 +55,11 @@ func main() {
 	}
 
 	cfg := sim.DefaultConfig().PersistPathGBs(*bw)
-	switch *kernel {
-	case "fast", "batched":
-		cfg.Kernel = sim.KernelBatched
-	case "threaded":
-		cfg.Kernel = sim.KernelThreaded
-	case "reference":
-		cfg.Kernel = sim.KernelReference
+	switch k := sim.KernelKind(*kernel); k {
+	case sim.KernelThreaded, sim.KernelReference:
+		cfg.Kernel = k
 	default:
-		fatal(fmt.Errorf("unknown kernel %q (want fast, batched, threaded, or reference)", *kernel))
+		fatal(fmt.Errorf("unknown kernel %q (want %s or %s)", *kernel, sim.KernelThreaded, sim.KernelReference))
 	}
 	if t, ok := nvmtech.All[*tech]; ok {
 		cfg = cfg.WithNVM(t)

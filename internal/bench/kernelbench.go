@@ -15,9 +15,11 @@ import (
 
 // kernelBenchCase is one cell of the kernel comparison matrix `make
 // bench-kernel` measures: a workload at quick scale on one scheme and
-// core count, timed as a full machine build + run under each optimized
-// kernel. The list mirrors simtest's BenchmarkRunUntil so the go-test
-// benchmarks and the recorded trajectory describe the same cells.
+// core count, timed as a full machine build + run on the reference
+// oracle, on the threaded production kernel, and on the threaded kernel
+// with telemetry attached. The list mirrors simtest's BenchmarkRunUntil
+// so the go-test benchmarks and the recorded trajectory describe the
+// same cells.
 type kernelBenchCase struct {
 	name          string
 	scheme        string
@@ -61,23 +63,34 @@ func kernelBenchCases() []kernelBenchCase {
 	}
 }
 
-// kernelBatchTarget is the minimum wall time of one measurement batch;
-// short cells repeat within a batch so a single timer read covers many
-// runs.
-const kernelBatchTarget = 60 * time.Millisecond
+// kernelSliceTarget is the minimum wall time one variant gets per
+// measurement round; short cells repeat within a slice, so fast variants
+// collect many timed runs per round while slow ones take one.
+const kernelSliceTarget = 20 * time.Millisecond
 
 // RunKernelBench measures every kernel comparison cell and returns the
-// profile for the BENCH_kernel.json trajectory. Per cell it alternates
-// batched/threaded measurement batches `reps` times and keeps each
-// kernel's best batch — back-to-back alternation exposes both kernels to
-// the same machine noise, and best-of damps co-tenancy dips, so the
-// speedup column is as close to a pure dispatch comparison as a
-// wall-clock measurement gets. It also cross-checks the equivalence
-// contract cheaply: both kernels must report identical simulated cycle
-// and instruction counts for every cell.
-func RunKernelBench(reps int, log io.Writer) (*benchfmt.KernelProfile, error) {
-	if reps <= 0 {
-		reps = 3
+// profile for the BENCH_kernel.json trajectory. Per cell it runs `rounds`
+// rounds; each round gives the reference, threaded, and threaded+telemetry
+// variants one time slice apiece, back to back, and every variant keeps
+// its fastest single run. Interleaving exposes all three to the same
+// machine, and co-tenant noise only ever slows a run down, so the minimum
+// over many runs converges on the undisturbed time and the ratio columns
+// come as close to a pure kernel comparison as a wall-clock measurement
+// gets. It also cross-checks the equivalence contract cheaply: every
+// variant must report identical simulated cycle and instruction counts.
+func RunKernelBench(rounds int, log io.Writer) (*benchfmt.KernelProfile, error) {
+	if rounds <= 0 {
+		rounds = 20
+	}
+	type variant struct {
+		name   string
+		kernel sim.KernelKind
+		tel    bool
+	}
+	variants := []variant{
+		{"reference", sim.KernelReference, false},
+		{"threaded", sim.KernelThreaded, false},
+		{"threaded+telemetry", sim.KernelThreaded, true},
 	}
 	prof := &benchfmt.KernelProfile{}
 	for _, bc := range kernelBenchCases() {
@@ -96,12 +109,15 @@ func RunKernelBench(reps int, log io.Writer) (*benchfmt.KernelProfile, error) {
 				specs = append(specs, sim.ThreadSpec{Fn: "worker", Args: []int64{int64(i), 600}})
 			}
 		}
-		run := func(kernel sim.KernelKind) (sim.Stats, error) {
+		run := func(v variant) (sim.Stats, error) {
 			cfg := schemes.ConfigFor(sch, sim.DefaultConfig())
-			cfg.Kernel = kernel
+			cfg.Kernel = v.kernel
 			m, err := sim.NewThreaded(p, cfg, sch, specs)
 			if err != nil {
 				return sim.Stats{}, err
+			}
+			if v.tel {
+				m.EnableTelemetry(sim.TelemetryOptions{})
 			}
 			res, err := m.Run()
 			if err != nil {
@@ -109,63 +125,59 @@ func RunKernelBench(reps int, log io.Writer) (*benchfmt.KernelProfile, error) {
 			}
 			return res.Stats, nil
 		}
-		// Warm both kernels once: pools, paged memory, and (threaded) the
+		// Warm every variant once: pools, paged memory, and the
 		// translation cache all populate outside the timed batches.
-		bs, err := run(sim.KernelBatched)
-		if err != nil {
-			return nil, fmt.Errorf("kernel bench %s (batched): %w", bc.name, err)
+		var st sim.Stats
+		for i, v := range variants {
+			vs, err := run(v)
+			if err != nil {
+				return nil, fmt.Errorf("kernel bench %s (%s): %w", bc.name, v.name, err)
+			}
+			if i == 0 {
+				st = vs
+			} else if vs.Cycles != st.Cycles || vs.Instrs != st.Instrs {
+				return nil, fmt.Errorf("kernel bench %s: %s diverged from reference (%d cycles/%d instrs, reference %d/%d)",
+					bc.name, v.name, vs.Cycles, vs.Instrs, st.Cycles, st.Instrs)
+			}
 		}
-		ts, err := run(sim.KernelThreaded)
-		if err != nil {
-			return nil, fmt.Errorf("kernel bench %s (threaded): %w", bc.name, err)
-		}
-		if bs.Cycles != ts.Cycles || bs.Instrs != ts.Instrs {
-			return nil, fmt.Errorf("kernel bench %s: kernels diverged (batched %d cycles/%d instrs, threaded %d/%d)",
-				bc.name, bs.Cycles, bs.Instrs, ts.Cycles, ts.Instrs)
-		}
-		batch := func(kernel sim.KernelKind) (float64, error) {
-			var n int64
-			start := time.Now()
-			for elapsed := time.Duration(0); n == 0 || elapsed < kernelBatchTarget; {
-				if _, err := run(kernel); err != nil {
-					return 0, err
+		fastest := make([]time.Duration, len(variants))
+		for r := 0; r < rounds; r++ {
+			for i, v := range variants {
+				for slice := time.Duration(0); slice < kernelSliceTarget; {
+					start := time.Now()
+					if _, err := run(v); err != nil {
+						return nil, fmt.Errorf("kernel bench %s (%s): %w", bc.name, v.name, err)
+					}
+					d := time.Since(start)
+					if fastest[i] == 0 || d < fastest[i] {
+						fastest[i] = d
+					}
+					slice += d
 				}
-				n++
-				elapsed = time.Since(start)
 			}
-			return float64(bs.Instrs*n) / float64(time.Since(start).Nanoseconds()) * 1e3, nil
 		}
-		var bestB, bestT float64
-		for r := 0; r < reps; r++ {
-			tb, err := batch(sim.KernelBatched)
-			if err != nil {
-				return nil, fmt.Errorf("kernel bench %s (batched): %w", bc.name, err)
-			}
-			tt, err := batch(sim.KernelThreaded)
-			if err != nil {
-				return nil, fmt.Errorf("kernel bench %s (threaded): %w", bc.name, err)
-			}
-			if tb > bestB {
-				bestB = tb
-			}
-			if tt > bestT {
-				bestT = tt
-			}
+		best := make([]float64, len(variants))
+		for i, d := range fastest {
+			best[i] = float64(st.Instrs) / float64(d.Nanoseconds()) * 1e3
 		}
 		cell := benchfmt.KernelCell{
-			Name:            fmt.Sprintf("%s_%s_x%d", bc.name, bc.scheme, bc.cores),
-			Cycles:          bs.Cycles,
-			Instrs:          bs.Instrs,
-			BatchedMinstrS:  bestB,
-			ThreadedMinstrS: bestT,
-			DispatchBound:   bc.dispatchBound,
+			Name:             fmt.Sprintf("%s_%s_x%d", bc.name, bc.scheme, bc.cores),
+			Cycles:           st.Cycles,
+			Instrs:           st.Instrs,
+			ReferenceMinstrS: best[0],
+			ThreadedMinstrS:  best[1],
+			TelemetryMinstrS: best[2],
+			DispatchBound:    bc.dispatchBound,
 		}
-		if bestB > 0 {
-			cell.Speedup = bestT / bestB
+		if best[0] > 0 {
+			cell.Speedup = best[1] / best[0]
+		}
+		if best[2] > 0 {
+			cell.TelemetryOverhead = best[1] / best[2]
 		}
 		if log != nil {
-			fmt.Fprintf(log, "kernel %-18s batched %8.2f Minstr/s  threaded %8.2f Minstr/s  speedup %.2fx\n",
-				cell.Name, cell.BatchedMinstrS, cell.ThreadedMinstrS, cell.Speedup)
+			fmt.Fprintf(log, "kernel %-18s reference %8.2f  threaded %8.2f  +telemetry %8.2f Minstr/s  speedup %.2fx  telemetry %.3fx\n",
+				cell.Name, cell.ReferenceMinstrS, cell.ThreadedMinstrS, cell.TelemetryMinstrS, cell.Speedup, cell.TelemetryOverhead)
 		}
 		prof.Cells = append(prof.Cells, cell)
 	}

@@ -14,7 +14,12 @@ import (
 // results: every previously cached cell is invalidated at once (old shards
 // are orphaned by signature, not deleted). It is exported so run manifests
 // and bench-trajectory records can tie a sweep to its cache generation.
-const ResultsSalt = "cwsp-sim-v1"
+//
+// v2: sim.Config lost its ReferenceKernel field and its "" Kernel now
+// means the threaded kernel, which changes the rendered config inside
+// every recovery and torture cell signature (simulated results are
+// unchanged).
+const ResultsSalt = "cwsp-sim-v2"
 
 const resultsSalt = ResultsSalt
 

@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -124,5 +125,48 @@ func TestShrinkKeepsFailureAndShrinks(t *testing.T) {
 	cmd := ReplayCommand(shrunk)
 	if !strings.HasPrefix(cmd, "cwsplitmus -replay '") {
 		t.Errorf("replay command malformed: %q", cmd)
+	}
+}
+
+// TestReplayKernFastReproducer: one-flag reproducers recorded before the
+// batched kernel was deleted say kern=fast. They still parse, render back
+// unchanged, and replay on the production kernel with the same judgment
+// as the reference oracle — here the unsealed violation reproducer and a
+// fault-free two-thread crash from the cwsplitmus documentation.
+func TestReplayKernFastReproducer(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		opt  RunOptions
+		want string
+	}{
+		{violatingSpec, RunOptions{Unsealed: true}, ResViolation},
+		{"t0=S0.1,F,A2.3;t1=S1.2;sch=cwsp;kern=fast;crashes=350", RunOptions{}, ResAllowed},
+	} {
+		s, err := Parse(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Render(); got != tc.spec {
+			t.Errorf("kern=fast spec renders as %q, want %q", got, tc.spec)
+		}
+		fast, err := RunSpec(s, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fast.Outcome != tc.want {
+			t.Errorf("%s: replayed as %s (%s: %s), want %s", tc.spec, fast.Outcome, fast.Code, fast.Msg, tc.want)
+		}
+		ref := s.Clone()
+		ref.Kernel = KernelRef
+		oracle, err := RunSpec(ref, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle.Spec = fast.Spec
+		fj, _ := json.Marshal(fast)
+		oj, _ := json.Marshal(oracle)
+		if string(fj) != string(oj) {
+			t.Errorf("%s: production kernel replay differs from reference\n  fast: %s\n  ref:  %s", tc.spec, fj, oj)
+		}
 	}
 }

@@ -95,7 +95,9 @@ func Prepare(s *Spec) (*Prepared, error) {
 	}
 	cfg := schemes.ConfigFor(sch, sim.DefaultConfig())
 	cfg.Recoverable = true
-	cfg.ReferenceKernel = s.Kernel == KernelRef
+	if s.Kernel == KernelRef {
+		cfg.Kernel = sim.KernelReference
+	}
 
 	prog := BuildProgram(s)
 	if schemes.NeedsCompiledProgram(sch) {

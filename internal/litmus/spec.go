@@ -84,7 +84,8 @@ type Spec struct {
 	Threads []Thread
 	// Scheme is the crash-consistency scheme name (schemes.ByName).
 	Scheme string
-	// Kernel selects the simulation kernel: "fast" or "ref".
+	// Kernel selects the simulation kernel: "fast" (the production
+	// kernel) or "ref" (the reference oracle).
 	Kernel string
 	// Plan carries the crash permille (Crashes[0]) and the fault points
 	// (litmus kinds only: torn-log, drop-wpq, reorder-wpq), all at crash

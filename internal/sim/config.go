@@ -75,47 +75,25 @@ type Config struct {
 	Unsealed bool
 
 	// Kernel selects the RunUntil implementation; the zero value is the
-	// batched fast kernel. All kernels are behavior-identical (enforced
-	// by internal/simtest's N-way differential harness and the
-	// equivalence fuzz targets); they differ only in speed and in which
-	// probes they carry. Machines with telemetry or tracing attached take
-	// the reference path automatically regardless of this field, since
-	// only it has the per-instruction probes.
+	// production threaded-code kernel. KernelReference selects the
+	// oracle it is differentially tested against (internal/simtest's
+	// harness and equivalence fuzz targets hold the two byte-identical).
+	// Telemetry and tracing run on whichever kernel is selected.
 	Kernel KernelKind
-
-	// ReferenceKernel forces the reference stepper; it predates Kernel
-	// and is kept as a working alias (`Kernel: KernelReference`) for
-	// existing callers (litmus specs, -kernel=reference flags).
-	ReferenceKernel bool
 }
 
 // KernelKind names a RunUntil implementation.
 type KernelKind string
 
 const (
-	// KernelBatched is the default: batched minimum-cycle scheduling with
-	// inlined switch dispatch (kernel.go).
-	KernelBatched KernelKind = "batched"
-	// KernelReference is the verbatim one-instruction-per-scan stepper
-	// carrying the telemetry/tracing probes (reference.go).
-	KernelReference KernelKind = "reference"
-	// KernelThreaded is the threaded-code backend: programs are
-	// translated once into flat arrays of specialized closures
-	// (threaded.go).
+	// KernelThreaded is the production kernel and the default: programs
+	// are translated once into flat arrays of specialized closures and
+	// scheduled in batched minimum-cycle order (threaded.go).
 	KernelThreaded KernelKind = "threaded"
+	// KernelReference is the verbatim one-instruction-per-scan stepper,
+	// kept as the oracle (reference.go).
+	KernelReference KernelKind = "reference"
 )
-
-// kernel resolves the effective kernel selection, folding the legacy
-// ReferenceKernel flag in.
-func (c Config) kernel() KernelKind {
-	if c.Kernel == "" {
-		if c.ReferenceKernel {
-			return KernelReference
-		}
-		return KernelBatched
-	}
-	return c.Kernel
-}
 
 // DefaultConfig is the scaled default machine: the paper's Skylake-class
 // setup (64KB L1D / 16MB shared L2 / 4GB DRAM cache, PMEM NVM, 2 MCs,

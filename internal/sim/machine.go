@@ -132,12 +132,12 @@ type Machine struct {
 	// stays allocation-free.
 	tel   *Telemetry
 	stats Stats
-	// lbus is the optional live event bus (SetLiveBus): the fast kernel
-	// reports instruction/cycle progress deltas every liveSimEvery
+	// lbus is the optional live event bus (SetLiveBus): the threaded
+	// kernel reports instruction/cycle progress deltas every liveSimEvery
 	// instructions so a campaign endpoint can watch long cells advance.
-	// Unlike tel/tracer it does NOT force the reference kernel — the
-	// probe sits outside the per-instruction hot path and is nil-guarded,
-	// preserving the zero-alloc steady state (see internal/simtest).
+	// The probe sits outside the per-instruction hot path and is
+	// nil-guarded, preserving the zero-alloc steady state (see
+	// internal/simtest).
 	lbus       *live.Bus
 	liveNext   int64 // instruction count that triggers the next report
 	liveInstrs int64 // last reported cumulative instructions
@@ -147,11 +147,12 @@ type Machine struct {
 	halted bool
 
 	// tc is this machine's resolved threaded-code translation (threaded
-	// kernel only; see threaded.go). tcCrash/tcBound/tcBoundID mirror the
-	// driver's active stop conditions so fused superinstructions can
-	// re-check them between their halves.
+	// kernel only; see threaded.go). tcStop/tcBound/tcBoundID mirror the
+	// driver's active stop conditions — tcStop is the crash cycle or the
+	// next telemetry sample, whichever is first — so superblocks and fused
+	// superinstructions can check them without returning to the driver.
 	tc        *tProg
-	tcCrash   int64
+	tcStop    int64
 	tcBound   int64
 	tcBoundID int
 }
@@ -184,10 +185,10 @@ func NewThreaded(prog *ir.Program, cfg Config, sch Scheme, specs []ThreadSpec) (
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	switch cfg.Kernel {
-	case "", KernelBatched, KernelReference, KernelThreaded:
+	case "", KernelThreaded, KernelReference:
 	default:
-		return nil, fmt.Errorf("sim: unknown kernel %q (want %s|%s|%s)",
-			cfg.Kernel, KernelReference, KernelBatched, KernelThreaded)
+		return nil, fmt.Errorf("sim: unknown kernel %q (want %s|%s)",
+			cfg.Kernel, KernelThreaded, KernelReference)
 	}
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("sim: no threads")
@@ -342,34 +343,26 @@ func (m *Machine) Run() (*Result, error) {
 
 // RunUntil executes until every core is done or frozen at the crash cycle.
 //
-// Three behavior-identical kernels implement it — the batched fast
-// kernel (kernel.go), the threaded-code backend (threaded.go), and the
-// verbatim reference stepper (reference.go) — selected by Config.Kernel.
-// The reference path is always taken when telemetry/tracing is attached,
-// since only it carries the per-instruction probes. internal/simtest's
-// N-way differential harness and fuzz targets hold all of them
-// byte-identical.
+// Two behavior-identical kernels implement it, selected by Config.Kernel:
+// the threaded-code production kernel (threaded.go, the default) and the
+// verbatim reference stepper (reference.go), kept as the oracle
+// internal/simtest's differential harness and fuzz targets hold the
+// production kernel byte-identical to. Telemetry sampling and tracing run
+// on either: samples land on the same cycles and trace streams match.
 func (m *Machine) RunUntil(crash int64) error {
-	if m.tel != nil || m.tracer != nil {
+	if m.Cfg.Kernel == KernelReference {
 		return m.runReference(crash)
 	}
-	switch m.Cfg.kernel() {
-	case KernelReference:
-		return m.runReference(crash)
-	case KernelThreaded:
-		return m.runThreaded(crash)
-	default:
-		return m.runFast(crash)
-	}
+	return m.runThreaded(crash)
 }
 
-// liveSimEvery is how many instructions the fast kernel executes between
+// liveSimEvery is how many instructions the threaded kernel executes between
 // SimProgress reports. Coarse on purpose: the check is hoisted out of the
 // per-instruction path wherever possible, and one event per ~4M
 // instructions is ample resolution for a progress endpoint.
 const liveSimEvery = 4 << 20
 
-// SetLiveBus attaches a live event bus. The fast kernel publishes
+// SetLiveBus attaches a live event bus. The threaded kernel publishes
 // SimProgress deltas (instructions and core-local cycles advanced since
 // the previous report); a nil bus restores the exact disabled path. The
 // attachment never changes simulation results — it only reads counters.
@@ -586,16 +579,12 @@ func (m *Machine) memStore(c *core, addr, val int64) {
 		}
 	}
 	if m.tracer != nil {
-		info := fmt.Sprintf("mc%d admit=%d", mc, admit)
-		if logged {
-			info += " logged"
-		}
 		seq := int64(0)
 		if c.cur != nil {
 			seq = c.cur.info.Seq
 		}
-		m.trace(TraceEvent{Kind: TracePersist, Core: c.id, Cycle: c.cycle,
-			Region: seq, Addr: addr, Admit: admit, MC: mc, Info: info})
+		m.tracer.Event(TraceEvent{Kind: TracePersist, Core: c.id, Cycle: c.cycle,
+			Region: seq, Addr: addr, Admit: admit, MC: mc, Logged: logged})
 	}
 	if c.cur != nil && admit > c.cur.persistMax {
 		c.cur.persistMax = admit
@@ -667,8 +656,8 @@ func (m *Machine) handleBoundary(c *core, f *frame, in *ir.Instr) {
 	c.cur = m.openRegion(c, f.fn.Name, in.RegionID, ref, f.depth, c.stackPtr, c.cycle)
 	m.stats.Regions++
 	if m.tracer != nil {
-		m.trace(TraceEvent{Kind: TraceRegion, Core: c.id, Cycle: c.cycle,
-			Region: c.cur.info.Seq, Info: fmt.Sprintf("%s b%d[%d]", f.fn.Name, ref.Block, ref.Index)})
+		m.tracer.Event(TraceEvent{Kind: TraceRegion, Core: c.id, Cycle: c.cycle,
+			Region: c.cur.info.Seq, Fn: f.fn.Name, Block: ref.Block, Index: ref.Index})
 	}
 }
 
@@ -730,9 +719,9 @@ func (m *Machine) finishRegion(c *core, cur *regionState, closeCycle int64) {
 		m.tel.RegionCkpts.Observe(cur.ckpts)
 	}
 	if m.tracer != nil {
-		m.trace(TraceEvent{Kind: TraceRegionEnd, Core: c.id, Cycle: closeCycle,
+		m.tracer.Event(TraceEvent{Kind: TraceRegionEnd, Core: c.id, Cycle: closeCycle,
 			Region: cur.info.Seq, Addr: cur.info.Start, Admit: cur.info.Retire,
-			Info: cur.info.Fn})
+			Fn: cur.info.Fn})
 	}
 }
 
@@ -777,8 +766,8 @@ func (m *Machine) handleSyncGroup(c *core, f *frame, in *ir.Instr) {
 		if c.cur != nil {
 			seq = c.cur.info.Seq
 		}
-		m.trace(TraceEvent{Kind: TraceSync, Core: c.id, Cycle: commit,
-			Region: seq, Info: in.Op.String()})
+		m.tracer.Event(TraceEvent{Kind: TraceSync, Core: c.id, Cycle: commit,
+			Region: seq, Op: in.Op})
 	}
 	c.cycle += m.Cfg.AtomicLat
 
@@ -941,8 +930,8 @@ func (m *Machine) handleCall(c *core, f *frame, in *ir.Instr) {
 	c.frames = append(c.frames, nf)
 	c.cycle += m.Cfg.CallLat
 	if m.tracer != nil {
-		m.trace(TraceEvent{Kind: TraceCall, Core: c.id, Cycle: c.cycle,
-			Info: fmt.Sprintf("%s -> %s depth=%d", f.fn.Name, in.Callee, nf.depth)})
+		m.tracer.Event(TraceEvent{Kind: TraceCall, Core: c.id, Cycle: c.cycle,
+			Fn: f.fn.Name, Callee: in.Callee, Depth: nf.depth})
 	}
 }
 
@@ -972,8 +961,8 @@ func (m *Machine) handleRet(c *core, eff ir.Effect) {
 	c.stackPtr = fin.spillBase
 	c.cycle += m.Cfg.CallLat
 	if m.tracer != nil {
-		m.trace(TraceEvent{Kind: TraceRet, Core: c.id, Cycle: c.cycle,
-			Info: fmt.Sprintf("%s <- %s", parent.fn.Name, fin.fn.Name)})
+		m.tracer.Event(TraceEvent{Kind: TraceRet, Core: c.id, Cycle: c.cycle,
+			Fn: parent.fn.Name, Callee: fin.fn.Name})
 	}
 	// Recycle the popped frame (spillList belongs to the function's
 	// LiveAcross table, so only the frame record itself is reused).

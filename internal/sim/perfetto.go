@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"fmt"
 	"io"
+	"strconv"
 
 	"cwsp/internal/telemetry"
 )
@@ -26,6 +26,7 @@ type PerfettoTracer struct {
 	began   map[int64]bool // region seq -> open span emitted
 	threads map[int]bool   // tids with metadata emitted
 	flow    int64
+	scratch []byte
 }
 
 // NewPerfettoTracer starts a Perfetto trace on w.
@@ -36,7 +37,7 @@ func NewPerfettoTracer(w io.Writer) *PerfettoTracer {
 }
 
 // SetLimit caps emitted events (0 = unlimited); metadata is exempt, so a
-// truncated trace still names its tracks.
+// truncated trace still names its tracks. Set it before the run starts.
 func (p *PerfettoTracer) SetLimit(n int64) { p.tr.SetLimit(n) }
 
 // Events returns the number of trace events emitted so far.
@@ -49,7 +50,7 @@ func (p *PerfettoTracer) coreTid(core int) int {
 	tid := core + 1
 	if !p.threads[tid] {
 		p.threads[tid] = true
-		p.tr.ThreadName(0, tid, fmt.Sprintf("core %d", core))
+		p.tr.ThreadName(0, tid, "core "+strconv.Itoa(core))
 	}
 	return tid
 }
@@ -58,26 +59,37 @@ func (p *PerfettoTracer) mcTid(mc int) int {
 	tid := perfettoMCBase + mc
 	if !p.threads[tid] {
 		p.threads[tid] = true
-		p.tr.ThreadName(0, tid, fmt.Sprintf("mc %d", mc))
+		p.tr.ThreadName(0, tid, "mc "+strconv.Itoa(mc))
 	}
 	return tid
 }
 
 // Event implements Tracer.
 func (p *PerfettoTracer) Event(ev TraceEvent) {
+	if ev.Kind >= numTraceKinds {
+		return
+	}
+	if p.tr.Full() {
+		// Past the limit only track metadata is still written; skip
+		// building the event's name and args.
+		p.coreTid(ev.Core)
+		if ev.Kind == TracePersist {
+			p.mcTid(ev.MC)
+		}
+		return
+	}
+	tid := p.coreTid(ev.Core)
 	switch ev.Kind {
 	case TraceRegion:
-		tid := p.coreTid(ev.Core)
 		p.began[ev.Region] = true
 		p.tr.AsyncBegin(0, tid, ev.Region, "region", "region", p.ts(ev.Cycle),
-			map[string]interface{}{"seq": ev.Region, "at": ev.Info})
+			telemetry.StrArg("at", p.info(ev)), telemetry.IntArg("seq", ev.Region))
 	case TraceRegionEnd:
-		tid := p.coreTid(ev.Core)
 		if !p.began[ev.Region] {
 			// The open predates tracer attachment (bootstrap region):
 			// synthesize it from the start cycle the end event carries.
 			p.tr.AsyncBegin(0, tid, ev.Region, "region", "region", p.ts(ev.Addr),
-				map[string]interface{}{"seq": ev.Region, "at": ev.Info})
+				telemetry.StrArg("at", ev.Fn), telemetry.IntArg("seq", ev.Region))
 		}
 		delete(p.began, ev.Region)
 		retire := ev.Admit
@@ -86,24 +98,30 @@ func (p *PerfettoTracer) Event(ev TraceEvent) {
 		}
 		p.tr.AsyncEnd(0, tid, ev.Region, "region", "region", p.ts(retire))
 	case TracePersist:
-		tid := p.coreTid(ev.Core)
 		mt := p.mcTid(ev.MC)
 		p.flow++
-		name := fmt.Sprintf("persist %#x", ev.Addr)
-		args := map[string]interface{}{"region": ev.Region, "addr": ev.Addr}
-		p.tr.Instant(0, tid, name, "persist", p.ts(ev.Cycle), args)
+		p.scratch = telemetry.AppendHex(append(p.scratch[:0], "persist "...), ev.Addr)
+		name := string(p.scratch)
+		addr, region := telemetry.IntArg("addr", ev.Addr), telemetry.IntArg("region", ev.Region)
+		p.tr.Instant(0, tid, name, "persist", p.ts(ev.Cycle), addr, region)
 		p.tr.FlowStart(0, tid, p.flow, "persist", "persist", p.ts(ev.Cycle))
 		// A one-cycle admission slice keeps the flow arrow visible.
-		p.tr.Complete(0, mt, name, "persist", p.ts(ev.Admit), p.ts(1), args)
+		p.tr.Complete(0, mt, name, "persist", p.ts(ev.Admit), p.ts(1), addr, region)
 		p.tr.FlowEnd(0, mt, p.flow, "persist", "persist", p.ts(ev.Admit))
 	case TraceSync:
-		p.tr.Instant(0, p.coreTid(ev.Core), "sync "+ev.Info, "sync", p.ts(ev.Cycle),
-			map[string]interface{}{"region": ev.Region})
+		p.tr.Instant(0, tid, "sync "+ev.Op.String(), "sync", p.ts(ev.Cycle),
+			telemetry.IntArg("region", ev.Region))
 	case TraceCall:
-		p.tr.Begin(0, p.coreTid(ev.Core), ev.Info, "call", p.ts(ev.Cycle), nil)
+		p.tr.Begin(0, tid, p.info(ev), "call", p.ts(ev.Cycle))
 	case TraceRet:
-		p.tr.End(0, p.coreTid(ev.Core), p.ts(ev.Cycle))
+		p.tr.End(0, tid, p.ts(ev.Cycle))
 	}
+}
+
+// info renders the event's detail through the tracer's scratch buffer.
+func (p *PerfettoTracer) info(ev TraceEvent) string {
+	p.scratch = ev.appendInfo(p.scratch[:0])
+	return string(p.scratch)
 }
 
 // Close terminates the JSON document; the trace is unreadable without it.

@@ -8,10 +8,9 @@ import (
 
 // This file is the reference simulation kernel: the original
 // one-instruction-per-scheduler-scan stepper, kept verbatim as the oracle
-// the fast kernel (kernel.go) is differentially tested against, and as
-// the path that carries telemetry sampling and tracing probes. Select it
-// explicitly with Config.ReferenceKernel (cwspsim -kernel=reference); it
-// is selected automatically when telemetry or a tracer is attached.
+// the threaded production kernel (threaded.go) is differentially tested
+// against. Select it with Config.Kernel = KernelReference (cwspsim
+// -kernel=reference).
 
 // runReference advances the machine one instruction at a time, each time
 // scanning every core for the minimum-cycle runnable one (ties break to

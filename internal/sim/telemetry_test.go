@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -221,10 +222,30 @@ func TestPerfettoTracerProducesLoadableTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	phases, names := decodePerfetto(t, b.String())
+	// Region spans (async b/e), persist flows (s/f) landing on MC slices
+	// (X), and track metadata must all be present.
+	for _, ph := range []string{"b", "e", "i", "X", "s", "f", "M"} {
+		if phases[ph] == 0 {
+			t.Errorf("trace has no %q events (phases: %v)", ph, phases)
+		}
+	}
+	if phases["b"] != phases["e"] {
+		t.Errorf("unbalanced region spans: %d begins, %d ends", phases["b"], phases["e"])
+	}
+	if !names["core 0"] || !names["mc 0"] {
+		t.Errorf("missing track names, got %v", names)
+	}
+}
+
+// decodePerfetto parses a Perfetto trace and returns its per-phase event
+// counts and the track names its metadata events declare.
+func decodePerfetto(t *testing.T, trace string) (map[string]int, map[string]bool) {
+	t.Helper()
 	var doc struct {
 		TraceEvents []map[string]interface{} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
+	if err := json.Unmarshal([]byte(trace), &doc); err != nil {
 		t.Fatalf("perfetto trace is not valid JSON: %v", err)
 	}
 	if len(doc.TraceEvents) == 0 {
@@ -242,19 +263,50 @@ func TestPerfettoTracerProducesLoadableTrace(t *testing.T) {
 			}
 		}
 	}
-	// Region spans (async b/e), persist flows (s/f) landing on MC slices
-	// (X), and track metadata must all be present.
-	for _, ph := range []string{"b", "e", "i", "X", "s", "f", "M"} {
-		if phases[ph] == 0 {
-			t.Errorf("trace has no %q events (phases: %v)", ph, phases)
+	return phases, names
+}
+
+// TestPerfettoLimitKeepsTrackNames: events past the limit are dropped
+// before they are built, but the tracks they would have landed on are
+// still named, exactly as in an unlimited trace of the same run.
+func TestPerfettoLimitKeepsTrackNames(t *testing.T) {
+	p := compileT(t, storeHeavyProg(100, 1500))
+	trace := func(limit int64) string {
+		m, err := New(p, DefaultConfig(), CWSP())
+		if err != nil {
+			t.Fatal(err)
 		}
+		var b strings.Builder
+		tr := NewPerfettoTracer(&b)
+		tr.SetLimit(limit)
+		m.SetTracer(tr)
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
 	}
-	if phases["b"] != phases["e"] {
-		t.Errorf("unbalanced region spans: %d begins, %d ends", phases["b"], phases["e"])
+	_, all := decodePerfetto(t, trace(0))
+	phases, limited := decodePerfetto(t, trace(1))
+	if !all["mc 1"] {
+		t.Fatalf("unlimited trace never reached mc 1: %v", all)
 	}
-	if !names["core 0"] || !names["mc 0"] {
-		t.Errorf("missing track names, got %v", names)
+	if fmt.Sprint(limited) != fmt.Sprint(all) {
+		t.Errorf("limited trace names %v, unlimited %v", limited, all)
 	}
+	if n := len(limited); phases["M"] != n || phases["M"]+1 != sumCounts(phases) {
+		t.Errorf("limit 1 trace has phases %v, want %d metadata events and one other", phases, n)
+	}
+}
+
+func sumCounts(m map[string]int) int {
+	n := 0
+	for _, v := range m {
+		n += v
+	}
+	return n
 }
 
 func TestMachineManifest(t *testing.T) {

@@ -8,15 +8,15 @@ import (
 	"cwsp/internal/ir"
 )
 
-// This file is the threaded-code kernel: the third RunUntil
-// implementation, behavior-identical to the reference stepper
-// (reference.go) and the batched fast kernel (kernel.go) — the simtest
-// N-way differential harness and FuzzThreadedEquivalence enforce
-// byte-identical results, stats, crash states, and recovery outcomes.
+// This file is the threaded-code kernel, the production RunUntil
+// implementation. It is behavior-identical to the reference stepper
+// (reference.go) — the simtest differential harness and the equivalence
+// fuzz targets enforce byte-identical results, stats, crash states,
+// recovery outcomes, telemetry, and trace streams.
 //
-// Where the batched kernel still decodes every instruction through one
-// big switch, this backend translates each function ONCE, at first run,
-// into a flat array of specialized closures:
+// Instead of decoding every instruction through a switch, this backend
+// translates each function ONCE, at first run, into a flat array of
+// specialized closures:
 //
 //   - one closure per instruction, chosen by (opcode, operand shape) at
 //     translation time, with register numbers, immediates, offsets, and
@@ -26,9 +26,21 @@ import (
 //     `fpc = code[fpc](m, c, f)` — no switch, no operand decode, no
 //     block/pc indirection on the hot path;
 //   - adjacent compare+branch pairs fused into one closure (the dominant
-//     loop-control idiom in compiled programs), with the scheduler/crash
-//     bounds re-checked between the two halves so the pair remains
+//     loop-control idiom in compiled programs), with the driver's stop
+//     conditions re-checked between the two halves so the pair remains
 //     interruptible at exactly the same points as the unfused sequence.
+//
+// Scheduling is batched: instead of rescanning every core per
+// instruction, the driver picks the minimum-(cycle, id) runnable core once
+// and steps it for as long as it stays strictly below the next core's
+// (cycle, id). While one core steps no other core's cycle moves, so every
+// one of those steps is exactly the core the reference scan would pick.
+//
+// The only per-instruction probe, the telemetry sampler, is a monotone
+// cycle threshold like the crash cycle, so the two fold into one stop
+// cycle (tcStop): superblocks and fused pairs never run across it, and
+// the driver takes each due sample exactly where the reference stepper
+// does — after the instruction is counted, before it executes.
 //
 // Frame state is maintained lazily: straight-line and branch closures
 // never write f.blk/f.pc; only the closures that call into shared
@@ -39,13 +51,20 @@ import (
 // Rare control transfers (call/ret, and anything that changes the frame
 // stack) return tcResync and the driver re-derives (frame, code array,
 // flat pc); everything else stays in the flat loop. All persist, region,
-// and call machinery is shared with the other kernels (machine.go), so
-// the three kernels have one definition of every memory-system path.
+// and call machinery is shared with the reference stepper (machine.go),
+// so both kernels have one definition of every memory-system path.
 //
 // Translation is cached per program behind a sync.Once, keyed by the
 // program pointer plus the process-wide code-version salt (the runner's
 // ResultsSalt, injected via SetCodeSalt): bumping the salt — the same
 // act that invalidates on-disk cell caches — also drops compiled code.
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // tOp executes one instruction and returns the next flat code index, or
 // tcResync if the frame stack changed (call/ret) or the driver must
@@ -200,13 +219,13 @@ func tSimple(in *ir.Instr) bool {
 // trigger) collapses to one check per run.
 //
 // Equivalence argument: between simple ops nothing externally observable
-// happens (registers and the cycle counter only), so the batched
-// kernel's per-instruction checks can be evaluated in advance — the
+// happens (registers and the cycle counter only), so the reference
+// stepper's per-instruction checks can be evaluated in advance — the
 // cycle advances exactly one per member before the tail, and the stop
 // predicate is monotone in the cycle, so checking it at the last
 // pre-tail cycle covers every intermediate one. If the run does not
 // provably fit (crash, scheduling bound, or MaxSteps could trip
-// mid-run), the closure executes only its first member and returns to
+// mid-run), the closure executes only the admissible prefix and returns to
 // the driver, which proceeds instruction by instruction through the
 // members' own untouched slots — byte-identical stops, errors, and
 // frozen frames.
@@ -216,11 +235,14 @@ func tSimple(in *ir.Instr) bool {
 // live progress report can fire.
 const tMaxRun = 24
 
-// tBare builds the register-effect-only form of a simple op (tSimple):
-// no cycle accounting, no successor index. Superblock bodies run these
-// back to back, advancing cycle and instruction counters in bulk — the
-// counters are unobservable between pure register ops, so only the
-// totals the tail and the driver see must match the batched kernel.
+// tBare builds the register-effect-only form of a simple op (tSimple),
+// specialized on its operand shape (both immediates fold at translation
+// time, shifts are pre-masked): no cycle accounting, no successor index.
+// Superblock bodies run these back to back, advancing cycle and
+// instruction counters in bulk — the counters are unobservable between
+// pure register ops, so only the totals the tail and the driver see must
+// match the reference stepper. A simple op's own slot wraps its bare body
+// with the one-cycle advance.
 func tBare(in *ir.Instr) func(*frame) {
 	dst := in.Dst
 	switch in.Op {
@@ -386,23 +408,24 @@ func (tf *tFunc) buildSuperblocks(fn *ir.Function, fused []bool) {
 // remaining k-1 instructions and the body's cycles in bulk (no bare op
 // reads the counters, and the tail — which may: a fused pair's
 // mid-check, a sync group's trailing ops — sees exactly the counts the
-// batched kernel would have), executes the k-1 bare bodies, then hands
+// reference stepper would have), executes the k-1 bare bodies, then hands
 // off to the tail's full closure for the run's last instruction.
 //
-// When the whole run does not provably fit (crash, scheduling bound, or
-// MaxSteps would trip mid-run), the closure executes exactly the prefix
-// the stop predicate allows — the predicate is monotone in the cycle,
-// and one cycle per member means the largest admissible prefix is a
-// subtraction — and parks on the next member's own untouched slot, so
-// the driver observes the identical stop point, frozen frame, or
-// MaxSteps error the batched kernel would produce. This keeps tightly
+// When the whole run does not provably fit (crash or telemetry sample,
+// scheduling bound, or MaxSteps would trip mid-run), the closure executes
+// exactly the prefix the stop predicate allows — the predicate is
+// monotone in the cycle, and one cycle per member means the largest
+// admissible prefix is a subtraction — and parks on the next member's own
+// untouched slot, so the driver observes the identical stop point, frozen
+// frame, sample, or MaxSteps error the reference stepper would produce.
+// This keeps tightly
 // bounded multicore batches fast: one dispatch per batch segment
 // instead of one per instruction.
 func superRun(bares []func(*frame), tail tOp, start, k int) tOp {
 	rest := int64(k - 1)
 	return func(m *Machine, c *core, f *frame) int {
 		x := c.cycle + rest
-		if x < m.tcCrash && (x < m.tcBound || (x == m.tcBound && c.id < m.tcBoundID)) &&
+		if x < m.tcStop && (x < m.tcBound || (x == m.tcBound && c.id < m.tcBoundID)) &&
 			m.stats.Instrs+rest-1 < m.Cfg.MaxSteps {
 			m.stats.Instrs += rest
 			c.instrs += rest
@@ -413,14 +436,14 @@ func superRun(bares []func(*frame), tail tOp, start, k int) tOp {
 			return tail(m, c, f)
 		}
 		// Partial run: the driver approved member 1, so at least one
-		// member executes; maxX is the last cycle at which the batched
-		// kernel would still have dispatched an instruction.
+		// member executes; maxX is the last cycle at which an instruction
+		// still dispatches without a stop, sample, or scheduling switch.
 		maxX := m.tcBound - 1
 		if c.id < m.tcBoundID {
 			maxX = m.tcBound
 		}
-		if m.tcCrash-1 < maxX {
-			maxX = m.tcCrash - 1
+		if m.tcStop-1 < maxX {
+			maxX = m.tcStop - 1
 		}
 		j := maxX - c.cycle + 1
 		if lim := m.Cfg.MaxSteps - m.stats.Instrs + 1; lim < j {
@@ -440,59 +463,27 @@ func superRun(bares []func(*frame), tail tOp, start, k int) tOp {
 }
 
 // translate builds the specialized closure for one instruction. The
-// sequencing inside each closure replicates stepFast (kernel.go) arm for
-// arm: the driver has already done the MaxSteps check and counted the
-// instruction when a closure runs.
+// sequencing inside each closure replicates the reference stepper's
+// (reference.go) arm for arm: the driver has already done the MaxSteps
+// check, counted the instruction, and taken any due sample when a closure
+// runs.
 func (tf *tFunc) translate(fn *ir.Function, bi, ii int) tOp {
 	in := &fn.Blocks[bi].Instrs[ii]
 	next := tf.base[bi] + ii + 1
 	dst := in.Dst
 
+	if tSimple(in) {
+		// Register-pure ops outside a superblock's bulk path (re-entry
+		// after a partial run, single-stepping at a stop) wrap their bare
+		// body with the one-cycle advance.
+		g := tBare(in)
+		return func(m *Machine, c *core, f *frame) int {
+			g(f)
+			c.cycle++
+			return next
+		}
+	}
 	switch in.Op {
-	case ir.OpConst:
-		return tConst(dst, in.A.Imm, next)
-	case ir.OpMov:
-		if in.A.IsImm() {
-			return tConst(dst, in.A.Imm, next)
-		}
-		a := in.A.Reg
-		return func(m *Machine, c *core, f *frame) int {
-			f.regs[dst] = f.regs[a]
-			c.cycle++
-			return next
-		}
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
-		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
-		ir.OpCmpEQ, ir.OpCmpNE, ir.OpCmpLT, ir.OpCmpLE, ir.OpCmpGT, ir.OpCmpGE:
-		return tALU(in.Op, dst, in.A, in.B, next)
-	case ir.OpSelect:
-		b, cc := in.B, in.C
-		if in.A.IsImm() {
-			picked := cc
-			if in.A.Imm != 0 {
-				picked = b
-			}
-			if picked.IsImm() {
-				return tConst(dst, picked.Imm, next)
-			}
-			a := picked.Reg
-			return func(m *Machine, c *core, f *frame) int {
-				f.regs[dst] = f.regs[a]
-				c.cycle++
-				return next
-			}
-		}
-		a := in.A.Reg
-		return func(m *Machine, c *core, f *frame) int {
-			regs := f.regs
-			if regs[a] != 0 {
-				regs[dst] = opVal(b, regs)
-			} else {
-				regs[dst] = opVal(cc, regs)
-			}
-			c.cycle++
-			return next
-		}
 	case ir.OpLoad:
 		off := in.Off
 		if in.A.IsImm() {
@@ -598,6 +589,9 @@ func (tf *tFunc) translate(fn *ir.Function, bi, ii int) tOp {
 		a := in.A.Reg
 		return func(m *Machine, c *core, f *frame) int {
 			m.stats.Ckpts++
+			if m.tel != nil && c.cur != nil {
+				c.cur.ckpts++
+			}
 			m.memStore(c, CkptSlot(c.id, f.depth, a), f.regs[a])
 			c.cycle++
 			return next
@@ -621,8 +615,7 @@ func (tf *tFunc) translate(fn *ir.Function, bi, ii int) tOp {
 		}
 
 	default:
-		// Rare or future op: take the reference path exactly, like the
-		// batched kernel's default arm.
+		// Rare or future op: take the reference path exactly.
 		return func(m *Machine, c *core, f *frame) int {
 			f.blk, f.pc = bi, ii
 			eff := ir.Exec(in, f.regs, coreEnv{m, c})
@@ -643,214 +636,7 @@ func (tf *tFunc) translate(fn *ir.Function, bi, ii int) tOp {
 	}
 }
 
-// tConst is the shared constant-result closure (OpConst, OpMov imm, and
-// immediate-folded ALU ops).
-func tConst(dst ir.Reg, v int64, next int) tOp {
-	return func(m *Machine, c *core, f *frame) int {
-		f.regs[dst] = v
-		c.cycle++
-		return next
-	}
-}
-
-// tALU specializes a binary register op on its operand shape: both
-// immediates fold at translation time, the reg×reg and reg×imm shapes
-// get direct closures, and the rare imm×reg shape goes through one
-// generic evaluator. Semantics (div/rem by zero, shift masking) are
-// exactly stepFast's.
-func tALU(op ir.Op, dst ir.Reg, a, b ir.Operand, next int) tOp {
-	if a.IsImm() && b.IsImm() {
-		return tConst(dst, aluEval(op, a.Imm, b.Imm), next)
-	}
-	if a.IsImm() {
-		av, br := a.Imm, b.Reg
-		return func(m *Machine, c *core, f *frame) int {
-			f.regs[dst] = aluEval(op, av, f.regs[br])
-			c.cycle++
-			return next
-		}
-	}
-	ar := a.Reg
-	if b.IsImm() {
-		bv := b.Imm
-		switch op {
-		case ir.OpAdd:
-			return func(m *Machine, c *core, f *frame) int {
-				f.regs[dst] = f.regs[ar] + bv
-				c.cycle++
-				return next
-			}
-		case ir.OpSub:
-			return func(m *Machine, c *core, f *frame) int {
-				f.regs[dst] = f.regs[ar] - bv
-				c.cycle++
-				return next
-			}
-		case ir.OpMul:
-			return func(m *Machine, c *core, f *frame) int {
-				f.regs[dst] = f.regs[ar] * bv
-				c.cycle++
-				return next
-			}
-		case ir.OpAnd:
-			return func(m *Machine, c *core, f *frame) int {
-				f.regs[dst] = f.regs[ar] & bv
-				c.cycle++
-				return next
-			}
-		case ir.OpOr:
-			return func(m *Machine, c *core, f *frame) int {
-				f.regs[dst] = f.regs[ar] | bv
-				c.cycle++
-				return next
-			}
-		case ir.OpXor:
-			return func(m *Machine, c *core, f *frame) int {
-				f.regs[dst] = f.regs[ar] ^ bv
-				c.cycle++
-				return next
-			}
-		case ir.OpCmpEQ:
-			return func(m *Machine, c *core, f *frame) int {
-				f.regs[dst] = b2i(f.regs[ar] == bv)
-				c.cycle++
-				return next
-			}
-		case ir.OpCmpNE:
-			return func(m *Machine, c *core, f *frame) int {
-				f.regs[dst] = b2i(f.regs[ar] != bv)
-				c.cycle++
-				return next
-			}
-		case ir.OpCmpLT:
-			return func(m *Machine, c *core, f *frame) int {
-				f.regs[dst] = b2i(f.regs[ar] < bv)
-				c.cycle++
-				return next
-			}
-		case ir.OpCmpLE:
-			return func(m *Machine, c *core, f *frame) int {
-				f.regs[dst] = b2i(f.regs[ar] <= bv)
-				c.cycle++
-				return next
-			}
-		case ir.OpCmpGT:
-			return func(m *Machine, c *core, f *frame) int {
-				f.regs[dst] = b2i(f.regs[ar] > bv)
-				c.cycle++
-				return next
-			}
-		case ir.OpCmpGE:
-			return func(m *Machine, c *core, f *frame) int {
-				f.regs[dst] = b2i(f.regs[ar] >= bv)
-				c.cycle++
-				return next
-			}
-		default:
-			return func(m *Machine, c *core, f *frame) int {
-				f.regs[dst] = aluEval(op, f.regs[ar], bv)
-				c.cycle++
-				return next
-			}
-		}
-	}
-	br := b.Reg
-	switch op {
-	case ir.OpAdd:
-		return func(m *Machine, c *core, f *frame) int {
-			regs := f.regs
-			regs[dst] = regs[ar] + regs[br]
-			c.cycle++
-			return next
-		}
-	case ir.OpSub:
-		return func(m *Machine, c *core, f *frame) int {
-			regs := f.regs
-			regs[dst] = regs[ar] - regs[br]
-			c.cycle++
-			return next
-		}
-	case ir.OpMul:
-		return func(m *Machine, c *core, f *frame) int {
-			regs := f.regs
-			regs[dst] = regs[ar] * regs[br]
-			c.cycle++
-			return next
-		}
-	case ir.OpAnd:
-		return func(m *Machine, c *core, f *frame) int {
-			regs := f.regs
-			regs[dst] = regs[ar] & regs[br]
-			c.cycle++
-			return next
-		}
-	case ir.OpOr:
-		return func(m *Machine, c *core, f *frame) int {
-			regs := f.regs
-			regs[dst] = regs[ar] | regs[br]
-			c.cycle++
-			return next
-		}
-	case ir.OpXor:
-		return func(m *Machine, c *core, f *frame) int {
-			regs := f.regs
-			regs[dst] = regs[ar] ^ regs[br]
-			c.cycle++
-			return next
-		}
-	case ir.OpCmpEQ:
-		return func(m *Machine, c *core, f *frame) int {
-			regs := f.regs
-			regs[dst] = b2i(regs[ar] == regs[br])
-			c.cycle++
-			return next
-		}
-	case ir.OpCmpNE:
-		return func(m *Machine, c *core, f *frame) int {
-			regs := f.regs
-			regs[dst] = b2i(regs[ar] != regs[br])
-			c.cycle++
-			return next
-		}
-	case ir.OpCmpLT:
-		return func(m *Machine, c *core, f *frame) int {
-			regs := f.regs
-			regs[dst] = b2i(regs[ar] < regs[br])
-			c.cycle++
-			return next
-		}
-	case ir.OpCmpLE:
-		return func(m *Machine, c *core, f *frame) int {
-			regs := f.regs
-			regs[dst] = b2i(regs[ar] <= regs[br])
-			c.cycle++
-			return next
-		}
-	case ir.OpCmpGT:
-		return func(m *Machine, c *core, f *frame) int {
-			regs := f.regs
-			regs[dst] = b2i(regs[ar] > regs[br])
-			c.cycle++
-			return next
-		}
-	case ir.OpCmpGE:
-		return func(m *Machine, c *core, f *frame) int {
-			regs := f.regs
-			regs[dst] = b2i(regs[ar] >= regs[br])
-			c.cycle++
-			return next
-		}
-	default:
-		return func(m *Machine, c *core, f *frame) int {
-			regs := f.regs
-			regs[dst] = aluEval(op, regs[ar], regs[br])
-			c.cycle++
-			return next
-		}
-	}
-}
-
-// aluEval mirrors the fast kernel's inline arithmetic exactly.
+// aluEval mirrors ir.Exec's arithmetic exactly.
 func aluEval(op ir.Op, a, b int64) int64 {
 	switch op {
 	case ir.OpAdd:
@@ -898,10 +684,11 @@ func aluEval(op ir.Op, a, b int64) int64 {
 // fuseCmpBr builds the compare+branch superinstruction for the pair at
 // (bi, ii)/(bi, ii+1) when the branch consumes exactly the compare's
 // destination. Between the two halves the closure re-checks the stop
-// conditions the driver would have checked (crash cycle, scheduling
+// conditions the driver would have checked (stop cycle, scheduling
 // bound, MaxSteps) and, if any trips, parks the frame at the branch and
 // resyncs — so the pair is interruptible at exactly the same points as
-// the unfused sequence and crash/bounded runs stay byte-identical.
+// the unfused sequence and crash/bounded/sampled runs stay
+// byte-identical.
 func (tf *tFunc) fuseCmpBr(fn *ir.Function, bi, ii int) tOp {
 	cmp := &fn.Blocks[bi].Instrs[ii]
 	br := &fn.Blocks[bi].Instrs[ii+1]
@@ -953,7 +740,7 @@ func (tf *tFunc) fuseCmpBr(fn *ir.Function, bi, ii int) tOp {
 		v := cmpv(f)
 		f.regs[dst] = v
 		c.cycle++
-		if c.cycle >= m.tcCrash || m.stats.Instrs >= m.Cfg.MaxSteps ||
+		if c.cycle >= m.tcStop || m.stats.Instrs >= m.Cfg.MaxSteps ||
 			!(c.cycle < m.tcBound || (c.cycle == m.tcBound && c.id < m.tcBoundID)) {
 			f.blk, f.pc = bi, ii+1
 			return tcResync
@@ -972,8 +759,7 @@ func (tf *tFunc) fuseCmpBr(fn *ir.Function, bi, ii int) tOp {
 // --- driver -----------------------------------------------------------------
 
 // runThreaded advances the machine with the batched minimum-cycle
-// scheduler (the exact scheduling of runFast, kernel.go) over translated
-// code.
+// scheduler over translated code.
 func (m *Machine) runThreaded(crash int64) error {
 	tp := m.threaded()
 	if len(m.cores) == 1 {
@@ -1008,6 +794,8 @@ func (m *Machine) runThreaded(crash int64) error {
 			m.halted = true
 			return nil
 		}
+		// Progress reporting piggybacks on the scheduling quantum: one
+		// check per scan, never one per instruction.
 		if m.lbus != nil && m.stats.Instrs >= m.liveNext {
 			m.publishSimProgress(c.cycle)
 		}
@@ -1028,28 +816,54 @@ func (m *Machine) runThreaded(crash int64) error {
 // batch: no reachable cycle equals it, so only crash/done stop the core.
 const tcNoBound = int64(1)<<62 - 1
 
+// stopAt is the first cycle at which the running core must return to the
+// driver: the crash cycle, or the next telemetry sample when that comes
+// first.
+func (m *Machine) stopAt(crash int64) int64 {
+	if m.tel != nil {
+		if next := m.tel.Sampler.Next(); next < crash {
+			return next
+		}
+	}
+	return crash
+}
+
 // runCoreThreaded steps one core while it stays strictly below the
-// (boundCycle, boundID) scheduling bound and the crash cycle — the same
-// batch the fast kernel runs with stepFast. Frame position is carried in
-// the flat index fpc and written back to f.blk/f.pc whenever the core
-// parks, so externally observable frame state matches the other kernels
-// at every stop point.
+// (boundCycle, boundID) scheduling bound and the crash cycle — exactly
+// the steps the reference scan would give it. Frame position is carried
+// in the flat index fpc and written back to f.blk/f.pc whenever the core
+// parks, so externally observable frame state matches the reference
+// stepper at every stop point.
 func (m *Machine) runCoreThreaded(tp *tProg, c *core, crash, boundCycle int64, boundID int, live bool) error {
 	if c.done {
 		return nil
 	}
-	m.tcCrash, m.tcBound, m.tcBoundID = crash, boundCycle, boundID
+	stop := m.stopAt(crash)
+	m.tcStop, m.tcBound, m.tcBoundID = stop, boundCycle, boundID
 	f := c.frames[len(c.frames)-1]
 	tf := tp.fns[f.fn]
 	code := tf.code
 	fpc := tf.base[f.blk] + f.pc
-	for c.cycle < crash && (c.cycle < boundCycle || (c.cycle == boundCycle && c.id < boundID)) {
+	for {
+		inBound := c.cycle < boundCycle || (c.cycle == boundCycle && c.id < boundID)
+		due := false
+		if c.cycle >= stop || !inBound {
+			if c.cycle >= crash || !inBound {
+				break
+			}
+			due = true // stopped short of the crash: a sample is owed
+		}
 		if m.stats.Instrs >= m.Cfg.MaxSteps {
 			f.blk, f.pc = tf.loc[fpc].Block, tf.loc[fpc].Index
 			return fmt.Errorf("sim: exceeded %d instructions (livelock?)", m.Cfg.MaxSteps)
 		}
 		m.stats.Instrs++
 		c.instrs++
+		if due {
+			m.tel.sample(c.cycle)
+			stop = m.stopAt(crash)
+			m.tcStop = stop
+		}
 		next := code[fpc](m, c, f)
 		if next >= 0 {
 			fpc = next

@@ -253,7 +253,11 @@ func TestUnknownKernelRejected(t *testing.T) {
 	if _, err := New(p, cfg, Baseline()); err == nil {
 		t.Fatal("NewThreaded accepted unknown kernel \"jit\"")
 	}
-	for _, k := range []KernelKind{"", KernelBatched, KernelReference, KernelThreaded} {
+	cfg.Kernel = "batched" // the deleted batched kernel is gone, not aliased
+	if _, err := New(p, cfg, Baseline()); err == nil {
+		t.Fatal("NewThreaded accepted the removed kernel \"batched\"")
+	}
+	for _, k := range []KernelKind{"", KernelReference, KernelThreaded} {
 		cfg.Kernel = k
 		if _, err := New(p, cfg, Baseline()); err != nil {
 			t.Fatalf("kernel %q rejected: %v", k, err)

@@ -3,6 +3,9 @@ package sim
 import (
 	"fmt"
 	"io"
+	"strconv"
+
+	"cwsp/internal/ir"
 )
 
 // TraceKind classifies trace events.
@@ -47,7 +50,9 @@ func (k TraceKind) String() string {
 	return "?"
 }
 
-// TraceEvent is one machine event.
+// TraceEvent is one machine event. It carries structured fields only;
+// consumers format what they keep (Info renders the textual detail), so
+// an event a tracer drops costs no formatting.
 type TraceEvent struct {
 	Kind   TraceKind
 	Core   int
@@ -58,8 +63,50 @@ type TraceEvent struct {
 	// region retire time for TraceRegionEnd (0 otherwise).
 	Admit int64
 	// MC is the memory controller index of a TracePersist (0 otherwise).
-	MC   int
-	Info string
+	MC int
+	// Logged marks a TracePersist whose store was undo-logged at the MC.
+	Logged bool
+	// Fn is the region's function (TraceRegion, TraceRegionEnd), the
+	// caller (TraceCall), or the function returned to (TraceRet).
+	Fn string
+	// Callee is the called (TraceCall) or returning (TraceRet) function.
+	Callee string
+	// Block and Index locate a TraceRegion's boundary in Fn.
+	Block, Index int
+	// Depth is the new frame's call depth (TraceCall).
+	Depth int
+	// Op is the synchronizing opcode (TraceSync).
+	Op ir.Op
+}
+
+// Info renders the event's kind-specific detail as text: the boundary
+// location of a region, the MC and admission of a persist, the opcode of
+// a sync, the caller and callee of a call or return.
+func (ev TraceEvent) Info() string { return string(ev.appendInfo(nil)) }
+
+func (ev TraceEvent) appendInfo(b []byte) []byte {
+	switch ev.Kind {
+	case TraceRegion:
+		b = append(append(b, ev.Fn...), " b"...)
+		b = append(strconv.AppendInt(b, int64(ev.Block), 10), '[')
+		b = append(strconv.AppendInt(b, int64(ev.Index), 10), ']')
+	case TracePersist:
+		b = strconv.AppendInt(append(b, "mc"...), int64(ev.MC), 10)
+		b = strconv.AppendInt(append(b, " admit="...), ev.Admit, 10)
+		if ev.Logged {
+			b = append(b, " logged"...)
+		}
+	case TraceSync:
+		b = append(b, ev.Op.String()...)
+	case TraceCall:
+		b = append(append(append(b, ev.Fn...), " -> "...), ev.Callee...)
+		b = strconv.AppendInt(append(b, " depth="...), int64(ev.Depth), 10)
+	case TraceRet:
+		b = append(append(append(b, ev.Fn...), " <- "...), ev.Callee...)
+	case TraceRegionEnd:
+		b = append(b, ev.Fn...)
+	}
+	return b
 }
 
 // Tracer receives machine events; SetTracer installs one. The textual
@@ -70,12 +117,6 @@ type Tracer interface {
 
 // SetTracer installs a tracer (nil disables tracing).
 func (m *Machine) SetTracer(t Tracer) { m.tracer = t }
-
-func (m *Machine) trace(ev TraceEvent) {
-	if m.tracer != nil {
-		m.tracer.Event(ev)
-	}
-}
 
 // WriteTracer formats events one per line to an io.Writer.
 type WriteTracer struct {
@@ -99,7 +140,7 @@ func (t *WriteTracer) Event(ev TraceEvent) {
 	}
 	t.n++
 	fmt.Fprintf(t.W, "%10d c%d %-8s region=%d addr=%#x %s\n",
-		ev.Cycle, ev.Core, ev.Kind, ev.Region, ev.Addr, ev.Info)
+		ev.Cycle, ev.Core, ev.Kind, ev.Region, ev.Addr, ev.Info())
 }
 
 // MultiTracer fans each event out to several tracers in order (e.g. a

@@ -8,46 +8,14 @@ import (
 	"cwsp/internal/telemetry/live"
 )
 
-// steadyMachine builds a warm steady-loop machine (see alloc_test.go) and
-// returns it with the warmed-up crash target.
-func steadyMachine(t *testing.T) (*sim.Machine, int64) {
-	sch, ok := schemes.ByName("cwsp")
-	if !ok {
-		t.Fatal("cwsp scheme missing")
-	}
-	cfg := schemes.ConfigFor(sch, sim.DefaultConfig())
-	p := buildSteadyLoop(t)
-	m, err := sim.NewThreaded(p, cfg, sch, []sim.ThreadSpec{{Fn: "steady", Args: []int64{50_000_000}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := int64(300_000)
-	if err := m.RunUntil(target); err != nil {
-		t.Fatal(err)
-	}
-	return m, target
-}
-
 // TestSteadyStateZeroAllocsNilBus pins the tentpole's zero-cost-when-
 // disabled guarantee at its strongest point: a machine with an explicitly
 // attached nil bus (the disabled form every CLI passes when -http is off)
-// must keep the fast kernel's allocation-free steady state bit for bit.
+// must keep the production kernel's allocation-free steady state bit for bit.
 func TestSteadyStateZeroAllocsNilBus(t *testing.T) {
 	m, target := steadyMachine(t)
 	m.SetLiveBus(nil)
-	before := m.CollectStats().Instrs
-	avg := testing.AllocsPerRun(50, func() {
-		target += 2_000
-		if err := m.RunUntil(target); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("nil-bus steady-state RunUntil allocated %.1f times per window, want 0", avg)
-	}
-	if after := m.CollectStats().Instrs; after <= before {
-		t.Fatalf("machine stopped stepping (instrs %d -> %d)", before, after)
-	}
+	requireSteadyZeroAllocs(t, "nil-bus", m, target)
 }
 
 // TestSteadyStateZeroAllocsEnabledBus: even with a live bus attached and
@@ -58,19 +26,7 @@ func TestSteadyStateZeroAllocsEnabledBus(t *testing.T) {
 	m, target := steadyMachine(t)
 	bus := live.NewBus()
 	m.SetLiveBus(bus)
-	before := m.CollectStats().Instrs
-	avg := testing.AllocsPerRun(50, func() {
-		target += 2_000
-		if err := m.RunUntil(target); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("enabled-bus steady-state RunUntil allocated %.1f times per window, want 0", avg)
-	}
-	if after := m.CollectStats().Instrs; after <= before {
-		t.Fatalf("machine stopped stepping (instrs %d -> %d)", before, after)
-	}
+	requireSteadyZeroAllocs(t, "enabled-bus", m, target)
 }
 
 // TestLiveBusDoesNotChangeResults: attaching a bus must be observationally

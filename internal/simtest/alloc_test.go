@@ -1,6 +1,7 @@
 package simtest
 
 import (
+	"io"
 	"testing"
 
 	"cwsp/internal/compiler"
@@ -50,11 +51,10 @@ func buildSteadyLoop(t testing.TB) *ir.Program {
 	return cp
 }
 
-// TestSteadyStateZeroAllocs pins the fast kernel's allocation-free steady
-// state: once a machine is warm (pools filled, tables at size), continued
-// stepping through loads, stores, region turnover, and the persist path
-// must not touch the heap.
-func TestSteadyStateZeroAllocs(t *testing.T) {
+// steadyMachine builds a steady-loop machine on the production kernel,
+// lets setup attach observers to it, and warms it up; it returns the
+// machine with the warmed-up crash target.
+func steadyMachine(t *testing.T, setup ...func(*sim.Machine)) (*sim.Machine, int64) {
 	sch, ok := schemes.ByName("cwsp")
 	if !ok {
 		t.Fatal("cwsp scheme missing")
@@ -65,12 +65,22 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, f := range setup {
+		f(m)
+	}
 	target := int64(300_000)
 	if err := m.RunUntil(target); err != nil {
 		t.Fatal(err)
 	}
-	before := m.CollectStats().Instrs
+	return m, target
+}
 
+// requireSteadyZeroAllocs runs 50 further 2k-cycle windows on a warm
+// machine and fails unless they allocate nothing and the machine keeps
+// stepping.
+func requireSteadyZeroAllocs(t *testing.T, what string, m *sim.Machine, target int64) {
+	t.Helper()
+	before := m.CollectStats().Instrs
 	avg := testing.AllocsPerRun(50, func() {
 		target += 2_000
 		if err := m.RunUntil(target); err != nil {
@@ -78,46 +88,56 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("steady-state RunUntil allocated %.1f times per 2k-cycle window, want 0", avg)
+		t.Fatalf("%s steady-state RunUntil allocated %.1f times per 2k-cycle window, want 0", what, avg)
 	}
 	if after := m.CollectStats().Instrs; after <= before {
 		t.Fatalf("machine stopped stepping during measurement (instrs %d -> %d)", before, after)
 	}
 }
 
-// TestThreadedSteadyStateZeroAllocs pins the same property for the
-// threaded-code backend: translation happens once during warmup (inside
-// the salt-keyed sync.Once cache), after which the flat closure loop must
-// not touch the heap — closures allocate at translation time, never at
-// run time.
-func TestThreadedSteadyStateZeroAllocs(t *testing.T) {
-	sch, ok := schemes.ByName("cwsp")
-	if !ok {
-		t.Fatal("cwsp scheme missing")
-	}
-	cfg := schemes.ConfigFor(sch, sim.DefaultConfig())
-	cfg.Kernel = sim.KernelThreaded
-	p := buildSteadyLoop(t)
-	m, err := sim.NewThreaded(p, cfg, sch, []sim.ThreadSpec{{Fn: "steady", Args: []int64{50_000_000}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := int64(300_000)
-	if err := m.RunUntil(target); err != nil {
-		t.Fatal(err)
-	}
-	before := m.CollectStats().Instrs
+// TestSteadyStateZeroAllocs pins the production kernel's allocation-free
+// steady state: once a machine is warm (pools filled, tables at size, the
+// program translated once inside the salt-keyed sync.Once cache),
+// continued stepping through loads, stores, region turnover, and the
+// persist path must not touch the heap — closures allocate at
+// translation time, never at run time.
+func TestSteadyStateZeroAllocs(t *testing.T) {
+	m, target := steadyMachine(t)
+	requireSteadyZeroAllocs(t, "plain", m, target)
+}
 
-	avg := testing.AllocsPerRun(50, func() {
-		target += 2_000
-		if err := m.RunUntil(target); err != nil {
-			t.Fatal(err)
-		}
+// TestThreadedSteadyStateZeroAllocs pins the same property with telemetry
+// attached: histogram probes, the sampler folded into the threaded
+// kernel's stop cycle, and gauge snapshots into the preallocated ring
+// (sampling every 64 cycles, so the ring wraps during the measurement)
+// must not allocate either.
+func TestThreadedSteadyStateZeroAllocs(t *testing.T) {
+	m, target := steadyMachine(t, func(m *sim.Machine) {
+		m.EnableTelemetry(sim.TelemetryOptions{SampleInterval: 64, SampleCap: 128})
 	})
-	if avg != 0 {
-		t.Fatalf("threaded steady-state RunUntil allocated %.1f times per 2k-cycle window, want 0", avg)
+	if m.Telemetry().Sampler.Dropped() == 0 {
+		t.Fatal("sampler ring never wrapped during warmup")
 	}
-	if after := m.CollectStats().Instrs; after <= before {
-		t.Fatalf("machine stopped stepping during measurement (instrs %d -> %d)", before, after)
+	requireSteadyZeroAllocs(t, "telemetry", m, target)
+}
+
+// TestPerfettoPastLimitZeroAllocs: a Perfetto tracer that has reached its
+// event limit drops every further event before building its name or
+// args, so a machine tracing into one (with telemetry on) stays
+// allocation-free per event in the steady state.
+func TestPerfettoPastLimitZeroAllocs(t *testing.T) {
+	var pt *sim.PerfettoTracer
+	m, target := steadyMachine(t, func(m *sim.Machine) {
+		m.EnableTelemetry(sim.TelemetryOptions{})
+		pt = sim.NewPerfettoTracer(io.Discard)
+		pt.SetLimit(1000)
+		m.SetTracer(pt)
+	})
+	if pt.Events() != 1000 {
+		t.Fatalf("tracer emitted %d events during warmup, want the 1000-event limit", pt.Events())
+	}
+	requireSteadyZeroAllocs(t, "perfetto past limit", m, target)
+	if err := pt.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -69,11 +69,11 @@ func BenchmarkRunUntil(b *testing.B) {
 		{name: "mt", scheme: "cwsp", cores: 2, build: mtWorker},
 		{name: "mt", scheme: "cwsp", cores: 4, build: mtWorker},
 	}
-	// Every cell runs once per optimized kernel: the batched/threaded
+	// Every cell runs once per kernel: the reference/threaded
 	// sub-benchmark pairs are what `make bench-kernel` reports and what
 	// the BENCH_kernel.json trajectory gates.
 	for _, bc := range cases {
-		for _, kernel := range []sim.KernelKind{sim.KernelBatched, sim.KernelThreaded} {
+		for _, kernel := range []sim.KernelKind{sim.KernelReference, sim.KernelThreaded} {
 			b.Run(fmt.Sprintf("%s_%s_x%d/%s", bc.name, bc.scheme, bc.cores, kernel), func(b *testing.B) {
 				sch, ok := schemes.ByName(bc.scheme)
 				if !ok {

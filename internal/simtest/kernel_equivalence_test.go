@@ -13,21 +13,21 @@ import (
 	"cwsp/internal/workloads"
 )
 
-// The N-way differential harness: every test in this file runs the same
+// The differential harness: every test in this file runs the same
 // program on every kernel under test and requires the canonical records
 // (stats, return values, output, memory and NVM digests, crash states,
 // recovery outcomes) to be byte-identical to the reference stepper's.
-// The reference kernel is the pinned truth; testKernels lists the
-// optimized kernels measured against it — a future kernel joins the
-// whole suite by adding one element.
+// The reference kernel is the pinned truth and the only comparison
+// oracle; testKernels lists the kernels measured against it — a future
+// kernel joins the whole suite by adding one element.
 
 // corpusSeeds is the number of progen programs the full-run equivalence
 // sweep covers (ISSUE 5 acceptance floor: 200).
 const corpusSeeds = 200
 
-// testKernels are the optimized kernels the harness proves against the
-// reference stepper.
-var testKernels = []sim.KernelKind{sim.KernelBatched, sim.KernelThreaded}
+// testKernels are the kernels the harness proves against the reference
+// stepper: the threaded production kernel.
+var testKernels = []sim.KernelKind{sim.KernelThreaded}
 
 func refKernel(cfg sim.Config) sim.Config {
 	cfg.Kernel = sim.KernelReference
@@ -82,18 +82,11 @@ func requireEqual(t *testing.T, label string, kernel sim.KernelKind, got, ref in
 // test, requiring identical records.
 func runAll(t *testing.T, label string, p *ir.Program, cfg sim.Config, sch sim.Scheme, specs []sim.ThreadSpec) *RunRecord {
 	t.Helper()
-	return runKernels(t, label, p, cfg, sch, specs, testKernels)
-}
-
-// runKernels is runAll over an explicit kernel list (the fuzz targets
-// narrow it to one kernel each).
-func runKernels(t *testing.T, label string, p *ir.Program, cfg sim.Config, sch sim.Scheme, specs []sim.ThreadSpec, kernels []sim.KernelKind) *RunRecord {
-	t.Helper()
 	ref, err := Run(p, refKernel(cfg), sch, specs)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
 	}
-	for _, k := range kernels {
+	for _, k := range testKernels {
 		got, err := Run(p, withKernel(cfg, k), sch, specs)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", label, k, err)
@@ -116,12 +109,6 @@ func crashPoints(goldenCycles int64) []int64 {
 // recovery limitation) must fail identically on every kernel.
 func crashAll(t *testing.T, label string, cp *Program, cfg sim.Config, sch sim.Scheme, specs []sim.ThreadSpec, crash int64) {
 	t.Helper()
-	crashKernels(t, label, cp, cfg, sch, specs, crash, testKernels)
-}
-
-// crashKernels is crashAll over an explicit kernel list.
-func crashKernels(t *testing.T, label string, cp *Program, cfg sim.Config, sch sim.Scheme, specs []sim.ThreadSpec, crash int64, kernels []sim.KernelKind) {
-	t.Helper()
 	p := cp.ProgramFor(sch)
 	resume := schemes.NeedsCompiledProgram(sch)
 	one := func(c sim.Config) (*CrashRecord, error) {
@@ -133,7 +120,7 @@ func crashKernels(t *testing.T, label string, cp *Program, cfg sim.Config, sch s
 	}
 	ref, refErr := one(refKernel(cfg))
 	lab := fmt.Sprintf("%s@%d", label, crash)
-	for _, k := range kernels {
+	for _, k := range testKernels {
 		got, gotErr := one(withKernel(cfg, k))
 		switch {
 		case gotErr == nil && refErr == nil:

@@ -8,9 +8,9 @@
 // Two consumers build on these records: the golden snapshot tests, which
 // freeze canonical workloads' behavior in testdata/golden so any kernel
 // change diffs against known-good outputs, and the kernel-equivalence
-// harness, which runs the fast and reference kernels over generated
-// programs and requires identical records (see kernel_equivalence_test.go
-// and FuzzKernelEquivalence).
+// harness, which runs the threaded and reference kernels over generated
+// programs and requires identical records (see kernel_equivalence_test.go,
+// observe_equivalence_test.go, and the fuzz targets).
 package simtest
 
 import (

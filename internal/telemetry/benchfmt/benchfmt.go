@@ -120,11 +120,12 @@ type Record struct {
 	Kernel *KernelProfile `json:"kernel,omitempty"`
 }
 
-// KernelProfile is one in-process comparison of the optimized simulation
-// kernels: per-cell instruction throughput for the batched and threaded
-// backends measured back to back in one process. The speedup column is a
-// same-run ratio — both kernels saw the same machine state — so it is
-// gated host-independently, while the absolute Minstr/s columns are only
+// KernelProfile is one in-process comparison of the simulation kernels:
+// per-cell instruction throughput for the reference oracle, the threaded
+// production kernel, and the threaded kernel with telemetry attached,
+// measured back to back in one process. The ratio columns are same-run
+// ratios — every variant saw the same machine state — so they are gated
+// host-independently, while the absolute Minstr/s columns are only
 // enforced between matching host fingerprints.
 type KernelProfile struct {
 	Cells []KernelCell `json:"cells"`
@@ -141,18 +142,23 @@ type KernelCell struct {
 	Cycles int64 `json:"cycles"`
 	// Instrs is the per-run instruction count throughput normalizes over.
 	Instrs int64 `json:"instrs"`
-	// BatchedMinstrS and ThreadedMinstrS are millions of simulated
-	// instructions per wall second for each kernel (best of the repeated
-	// measurement batches).
-	BatchedMinstrS  float64 `json:"batched_minstr_s"`
-	ThreadedMinstrS float64 `json:"threaded_minstr_s"`
-	// Speedup is ThreadedMinstrS / BatchedMinstrS.
+	// ReferenceMinstrS, ThreadedMinstrS, and TelemetryMinstrS are millions
+	// of simulated instructions per wall second on the reference kernel,
+	// the threaded kernel, and the threaded kernel with telemetry enabled
+	// at its default sample interval (best of the repeated batches).
+	ReferenceMinstrS float64 `json:"reference_minstr_s"`
+	ThreadedMinstrS  float64 `json:"threaded_minstr_s"`
+	TelemetryMinstrS float64 `json:"telemetry_minstr_s"`
+	// Speedup is ThreadedMinstrS / ReferenceMinstrS.
 	Speedup float64 `json:"speedup"`
+	// TelemetryOverhead is ThreadedMinstrS / TelemetryMinstrS: the wall
+	// time of a telemetry-enabled run relative to a plain one.
+	TelemetryOverhead float64 `json:"telemetry_overhead"`
 	// DispatchBound marks the cell whose loop is register-resident: the
 	// one place dispatch overhead is the bottleneck and the threaded
-	// backend's floor (>= 2x) is enforced. On memory- or persist-bound
-	// cells the shared machinery caps the ratio (Amdahl), so their
-	// speedups are tracked but only gated against the baseline.
+	// kernel's speedup floor (KernelDispatchFloor) is enforced. On memory-
+	// or persist-bound cells the shared machinery caps the ratio (Amdahl),
+	// so their speedups are tracked but only gated against the baseline.
 	DispatchBound bool `json:"dispatch_bound,omitempty"`
 }
 

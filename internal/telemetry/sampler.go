@@ -47,8 +47,12 @@ func NewSampler(interval int64, capacity int, cols ...string) *Sampler {
 		cols:     append([]string(nil), cols...),
 		buf:      make([]Sample, capacity),
 	}
+	// One backing array for every row: two allocations per sampler, not
+	// one per retained sample.
+	n := len(cols)
+	vals := make([]float64, capacity*n)
 	for i := range s.buf {
-		s.buf[i].Vals = make([]float64, len(cols))
+		s.buf[i].Vals = vals[i*n : (i+1)*n : (i+1)*n]
 	}
 	return s
 }
@@ -62,6 +66,10 @@ func (s *Sampler) Columns() []string { return append([]string(nil), s.cols...) }
 // Due reports whether a sample is owed at the given cycle. It is the
 // single hot-path check; everything else runs only when it fires.
 func (s *Sampler) Due(cycle int64) bool { return cycle >= s.next }
+
+// Next returns the first cycle at which a sample is owed: Due(c) holds
+// exactly when c >= Next(). Kernels that batch instructions stop at it.
+func (s *Sampler) Next() int64 { return s.next }
 
 // Record stores one sample at the given cycle and advances the next fire
 // time past it (skipped intervals collapse into one sample). Extra values

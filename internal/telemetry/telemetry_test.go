@@ -179,13 +179,13 @@ func TestTraceWriter(t *testing.T) {
 	tr := NewTrace(&b)
 	tr.ProcessName(0, "cores")
 	tr.ThreadName(0, 1, "core 0")
-	tr.AsyncBegin(0, 1, 42, "region", "region", 1.0, map[string]interface{}{"fn": "main"})
-	tr.Instant(0, 1, "persist", "persist", 1.5, nil)
+	tr.AsyncBegin(0, 1, 42, "region", "region", 1.0, StrArg("fn", "main"))
+	tr.Instant(0, 1, "persist", "persist", 1.5)
 	tr.FlowStart(0, 1, 7, "persist", "persist", 1.5)
-	tr.Complete(0, 1001, "wpq", "persist", 2.0, 0.5, nil)
+	tr.Complete(0, 1001, "wpq", "persist", 2.0, 0.5)
 	tr.FlowEnd(0, 1001, 7, "persist", "persist", 2.0)
 	tr.AsyncEnd(0, 1, 42, "region", "region", 3.0)
-	tr.Counter(0, "occupancy", 1.0, map[string]interface{}{"pb": 3})
+	tr.Counter(0, "occupancy", 1.0, IntArg("pb", 3))
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestTraceWriterEmptyAndLimit(t *testing.T) {
 	tr = NewTrace(&b)
 	tr.SetLimit(2)
 	for i := 0; i < 10; i++ {
-		tr.Instant(0, 0, "x", "", float64(i), nil)
+		tr.Instant(0, 0, "x", "", float64(i))
 	}
 	tr.ThreadName(0, 0, "meta still allowed")
 	if err := tr.Close(); err != nil {
