@@ -1,7 +1,7 @@
 package faults
 
 import (
-	"sort"
+	"slices"
 
 	"cwsp/internal/sim"
 )
@@ -10,8 +10,8 @@ import (
 // at a concrete crash cycle — the campaign report's ground truth for what
 // was actually corrupted.
 type Injected struct {
-	Kind  Kind  `json:"kind"`
-	Crash int   `json:"crash"`
+	Kind  Kind `json:"kind"`
+	Crash int  `json:"crash"`
 	// Index / Index2 are journal record indexes (torn-log, drop-wpq, and
 	// the reorder-wpq pair); Addr is the victim word (corrupt-ckpt, and
 	// informational for journal faults).
@@ -43,48 +43,38 @@ func Resolve(p *Plan, crash int, m *sim.Machine, cycle int64) (*sim.CrashFaults,
 	}
 	var report []Injected
 
-	retired := map[int64]bool{}
-	for _, ri := range m.Regions {
-		if ri.Retire <= cycle {
-			retired[ri.Seq] = true
+	// Eligibility sets, each in deterministic (journal / address) order.
+	retired := m.RetiredBy(cycle)
+	var tornable []int // logged records of unretired regions: rolled back at recovery
+	for i := 0; i < m.Journal.Len(); i++ {
+		if rec := m.Journal.At(i); rec.Logged && !retired(rec.Region) {
+			tornable = append(tornable, i)
 		}
 	}
-
-	// Eligibility sets, each in deterministic (journal / address) order.
-	var tornable []int // logged records of unretired regions: rolled back at recovery
+	// Tail window per MC: the last wpqTailWindow admissions of each
+	// controller, ordered (mc, seq). A controller's MCSeq rises with
+	// journal index, so a newest-first scan meets each controller's
+	// admissions in descending seq order and stops once every window is
+	// full.
 	type adm struct {
 		idx int
 		mc  int
 		seq int64
 	}
-	var admitted []adm // WPQ-admitted by the crash, in admission order per MC
-	for i := 0; i < len(m.Journal); i++ {
-		rec := &m.Journal[i]
-		if rec.Logged && !retired[rec.Region] {
-			tornable = append(tornable, i)
+	perMC := make([][]adm, m.Cfg.NumMCs)
+	for i, full := m.Journal.Len()-1, 0; i >= 0 && full < len(perMC); i-- {
+		rec := m.Journal.At(i)
+		if rec.MCSeq == 0 || rec.Admit > cycle || len(perMC[rec.MC]) == wpqTailWindow {
+			continue
 		}
-		if rec.MCSeq > 0 && rec.Admit <= cycle {
-			admitted = append(admitted, adm{i, rec.MC, rec.MCSeq})
+		perMC[rec.MC] = append(perMC[rec.MC], adm{i, rec.MC, rec.MCSeq})
+		if len(perMC[rec.MC]) == wpqTailWindow {
+			full++
 		}
-	}
-	// Tail window per MC: the last wpqTailWindow admissions of each
-	// controller, ordered (mc, seq).
-	perMC := map[int][]adm{}
-	for _, a := range admitted {
-		perMC[a.mc] = append(perMC[a.mc], a)
 	}
 	var tail []adm
-	mcs := make([]int, 0, len(perMC))
-	for mc := range perMC {
-		mcs = append(mcs, mc)
-	}
-	sort.Ints(mcs)
-	for _, mc := range mcs {
-		l := perMC[mc]
-		sort.Slice(l, func(a, b int) bool { return l[a].seq < l[b].seq })
-		if len(l) > wpqTailWindow {
-			l = l[len(l)-wpqTailWindow:]
-		}
+	for _, l := range perMC {
+		slices.Reverse(l)
 		tail = append(tail, l...)
 	}
 	// Adjacent same-MC pairs in the tail (reorder victims). Same-address
@@ -112,7 +102,7 @@ func Resolve(p *Plan, crash int, m *sim.Machine, cycle int64) (*sim.CrashFaults,
 				x = 0xffffffff00000000 // torn 8-byte write: high half lost
 			}
 			cf.TornOld[i] = x
-			inj.Index, inj.Addr, inj.XOR = i, m.Journal[i].Addr, x
+			inj.Index, inj.Addr, inj.XOR = i, m.Journal.At(i).Addr, x
 		case DropWPQ:
 			if len(tail) == 0 {
 				inj.Skipped = true
@@ -120,7 +110,7 @@ func Resolve(p *Plan, crash int, m *sim.Machine, cycle int64) (*sim.CrashFaults,
 			}
 			a := tail[int(pt.Pick%int64(len(tail)))]
 			cf.Drop[a.idx] = true
-			inj.Index, inj.Addr = a.idx, m.Journal[a.idx].Addr
+			inj.Index, inj.Addr = a.idx, m.Journal.At(a.idx).Addr
 		case ReorderWPQ:
 			if len(pairs) == 0 {
 				inj.Skipped = true
@@ -128,7 +118,7 @@ func Resolve(p *Plan, crash int, m *sim.Machine, cycle int64) (*sim.CrashFaults,
 			}
 			pr := pairs[int(pt.Pick%int64(len(pairs)))]
 			cf.Reorder = append(cf.Reorder, [2]int{pr[0].idx, pr[1].idx})
-			inj.Index, inj.Index2, inj.Addr = pr[0].idx, pr[1].idx, m.Journal[pr[0].idx].Addr
+			inj.Index, inj.Index2, inj.Addr = pr[0].idx, pr[1].idx, m.Journal.At(pr[0].idx).Addr
 		case CorruptCkpt:
 			if len(ckptAddrs) == 0 {
 				inj.Skipped = true

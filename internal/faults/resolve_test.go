@@ -94,7 +94,7 @@ func TestResolveTargetsAreEligible(t *testing.T) {
 		landed++
 		switch inj.Kind {
 		case TornLog:
-			rec := &m.Journal[inj.Index]
+			rec := m.Journal.At(inj.Index)
 			if !rec.Logged || retired[rec.Region] {
 				t.Errorf("torn-log victim journal[%d] is not a rollback target", inj.Index)
 			}
@@ -102,12 +102,12 @@ func TestResolveTargetsAreEligible(t *testing.T) {
 				t.Errorf("torn-log report/faults mismatch at %d", inj.Index)
 			}
 		case DropWPQ:
-			rec := &m.Journal[inj.Index]
+			rec := m.Journal.At(inj.Index)
 			if rec.MCSeq == 0 || rec.Admit > cycle {
 				t.Errorf("drop-wpq victim journal[%d] was never admitted", inj.Index)
 			}
 		case ReorderWPQ:
-			a, b := &m.Journal[inj.Index], &m.Journal[inj.Index2]
+			a, b := m.Journal.At(inj.Index), m.Journal.At(inj.Index2)
 			if a.MC != b.MC || b.MCSeq != a.MCSeq+1 {
 				t.Errorf("reorder-wpq pair (%d,%d) not adjacent same-MC", inj.Index, inj.Index2)
 			}

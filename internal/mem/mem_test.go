@@ -216,3 +216,42 @@ func TestWriteBufferAvgOccupancyLow(t *testing.T) {
 		t.Errorf("avg occupancy = %v, want < 0.5", got)
 	}
 }
+
+// TestPagedMemDiffDeterministic: Diff's address sample must not inherit
+// map iteration order. Images differing on many pages (some present on
+// only one side) give the same sample on every call, ascending.
+func TestPagedMemDiffDeterministic(t *testing.T) {
+	a, b := NewPagedMem(), NewPagedMem()
+	for pg := int64(0); pg < 64; pg++ {
+		addr := pg * pageWords * 8
+		a.Store(addr+8, pg+1)
+		if pg%3 != 0 {
+			b.Store(addr+16, pg+1) // pg%3 == 0: page only in a
+		}
+	}
+	b.Store(1000*pageWords*8, 1) // page only in b
+	first := a.Diff(b, 8)
+	if len(first) != 8 {
+		t.Fatalf("diff sample has %d addresses, want 8", len(first))
+	}
+	for i := 1; i < len(first); i++ {
+		if first[i] <= first[i-1] {
+			t.Fatalf("diff sample not ascending: %v", first)
+		}
+	}
+	if first[0] != 8 {
+		t.Fatalf("diff sample starts at %#x, want the lowest differing word 0x8", first[0])
+	}
+	for run := 0; run < 20; run++ {
+		got := a.Diff(b, 8)
+		for i := range first {
+			if got[i] != first[i] {
+				t.Fatalf("run %d: diff sample %v != first sample %v", run, got, first)
+			}
+		}
+	}
+	all := a.Diff(b, 1<<20)
+	if last := all[len(all)-1]; last != 1000*pageWords*8 {
+		t.Fatalf("b-only page missing from the full diff (last %#x)", last)
+	}
+}

@@ -5,7 +5,7 @@
 // stale-read race (paper Section V-A1).
 package mem
 
-import "sort"
+import "slices"
 
 const (
 	pageShift = 9 // 512 words (4 KiB) per page
@@ -108,39 +108,42 @@ func (m *PagedMem) subsetEq(o *PagedMem) bool {
 	return true
 }
 
-// Diff returns up to max differing word addresses between m and o.
+// Diff returns up to max differing word addresses between m and o, in
+// ascending address order (pages are visited in sorted key order, like
+// Digest, so the sample is the same on every run).
 func (m *PagedMem) Diff(o *PagedMem, max int) []int64 {
 	var out []int64
-	seen := map[int64]bool{}
-	collect := func(a, b *PagedMem) {
-		for k, p := range a.pages {
-			q := b.pages[k]
-			for i, v := range p {
-				var w int64
-				if q != nil {
-					w = q[i]
-				}
-				if v != w {
-					addr := ((k << pageShift) | int64(i)) << 3
-					if !seen[addr] {
-						seen[addr] = true
-						out = append(out, addr)
-						if len(out) >= max {
-							return
-						}
-					}
-				}
+	for _, k := range sortedKeys(m, o) {
+		p, q := m.pages[k], o.pages[k]
+		for i := 0; i < pageWords; i++ {
+			var v, w int64
+			if p != nil {
+				v = p[i]
 			}
-			if len(out) >= max {
-				return
+			if q != nil {
+				w = q[i]
+			}
+			if v != w {
+				out = append(out, ((k<<pageShift)|int64(i))<<3)
+				if len(out) >= max {
+					return out
+				}
 			}
 		}
 	}
-	collect(m, o)
-	if len(out) < max {
-		collect(o, m)
-	}
 	return out
+}
+
+// sortedKeys returns the union of the images' page keys, ascending.
+func sortedKeys(ims ...*PagedMem) []int64 {
+	var keys []int64
+	for _, im := range ims {
+		for k := range im.pages {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
 // EqualWhere reports whether the images agree on every word whose address
@@ -175,11 +178,7 @@ func (m *PagedMem) Pages() int { return len(m.pages) }
 // two images that compare Equal always digest identically regardless of
 // their allocation histories.
 func (m *PagedMem) Digest() uint64 {
-	keys := make([]int64, 0, len(m.pages))
-	for k := range m.pages {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	keys := sortedKeys(m)
 
 	const (
 		offset64 = 14695981039346656037

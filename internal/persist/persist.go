@@ -29,18 +29,6 @@ type WPQ struct {
 	// pending maps word address -> drain time, for the load-delay check
 	// (paper Section V-A2).
 	pending *addrTable
-	// pendAddr/pendDrain form a growable ring of pending puts in admission
-	// order. Drains are strictly monotone, so the ring is drain-sorted and
-	// Sweep can pop just the stale prefix instead of scanning the whole
-	// table. Records whose table entry was since overwritten or collected
-	// are skipped by a recheck, so the deletions Sweep performs are exactly
-	// the map's range-and-delete set.
-	pendAddr   []int64
-	pendDrain  []int64
-	pendHead   int
-	pendLen    int
-	pendSpareA []int64
-	pendSpareD []int64
 
 	Admits       int64
 	FullWait     int64 // total cycles arrivals waited for a free slot
@@ -76,7 +64,10 @@ func (w *WPQ) Admit(arrival int64, addr int64, bytes int) (admit, drain int64) {
 			w.FullWait += oldest - admit
 			admit = oldest
 		}
-		w.head = (w.head + 1) % w.cap
+		w.head++
+		if w.head == w.cap {
+			w.head = 0
+		}
 		w.count--
 	}
 	start := admit
@@ -88,81 +79,19 @@ func (w *WPQ) Admit(arrival int64, addr int64, bytes int) (admit, drain int64) {
 		drain = start + 1
 	}
 	w.lastDrain = drain
-	w.drainDone[(w.head+w.count)%w.cap] = drain
+	tail := w.head + w.count
+	if tail >= w.cap {
+		tail -= w.cap
+	}
+	w.drainDone[tail] = drain
 	w.count++
 	w.Admits++
 	w.BytesDrained += int64(bytes)
 
 	if addr != 0 {
 		w.pending.put(addr&^7, drain)
-		w.pendPush(addr&^7, drain)
 	}
 	return admit, drain
-}
-
-// pendPush appends a put record to the drain-ordered ring, rebuilding
-// when full: orphaned records (entries since overwritten or collected)
-// are dropped, so the ring stays proportional to the live table. Every
-// live table entry keeps exactly its current-drain record, so a rebuild
-// cannot change which entries a future Sweep deletes.
-func (w *WPQ) pendPush(addr, drain int64) {
-	if w.pendLen == len(w.pendAddr) {
-		w.pendRebuild()
-	}
-	t := w.pendHead + w.pendLen
-	if t >= len(w.pendAddr) {
-		t -= len(w.pendAddr)
-	}
-	w.pendAddr[t], w.pendDrain[t] = addr, drain
-	w.pendLen++
-}
-
-func (w *WPQ) pendRebuild() {
-	n := len(w.pendAddr)
-	match := func(j int) bool {
-		v, ok := w.pending.get(w.pendAddr[j])
-		return ok && v == w.pendDrain[j]
-	}
-	keep := 0
-	for i := 0; i < w.pendLen; i++ {
-		j := w.pendHead + i
-		if j >= n {
-			j -= n
-		}
-		if match(j) {
-			keep++
-		}
-	}
-	size := n
-	if size < 64 {
-		size = 64
-	}
-	for 2*keep >= size {
-		size *= 2
-	}
-	na, nd := w.pendSpareA, w.pendSpareD
-	if len(na) != size {
-		na = make([]int64, size)
-		nd = make([]int64, size)
-	}
-	out := 0
-	for i := 0; i < w.pendLen; i++ {
-		j := w.pendHead + i
-		if j >= n {
-			j -= n
-		}
-		if match(j) {
-			na[out], nd[out] = w.pendAddr[j], w.pendDrain[j]
-			out++
-		}
-	}
-	if n == size {
-		// Same-size swap: retain the old buffers so the steady state never
-		// allocates.
-		w.pendSpareA, w.pendSpareD = w.pendAddr, w.pendDrain
-	}
-	w.pendAddr, w.pendDrain = na, nd
-	w.pendHead, w.pendLen = 0, out
 }
 
 // Occupancy returns the number of entries still in flight (admitted but
@@ -205,24 +134,11 @@ func (w *WPQ) PendingUntil(addr, now int64) int64 {
 	return d
 }
 
-// Sweep drops drained pending-address entries (bounds table growth). The
-// ring is drain-sorted, so popping the <=now prefix and deleting each
-// record's still-matching table entry performs exactly the deletions a
-// full range-and-delete over the table would.
+// Sweep drops drained pending-address entries (bounds table growth): every
+// entry with drain <= now, the map's range-and-delete set.
 func (w *WPQ) Sweep(now int64) {
-	if w.pending.live < 4*w.cap {
-		return
-	}
-	for w.pendLen > 0 && w.pendDrain[w.pendHead] <= now {
-		a := w.pendAddr[w.pendHead]
-		w.pendHead++
-		if w.pendHead == len(w.pendAddr) {
-			w.pendHead = 0
-		}
-		w.pendLen--
-		if v, ok := w.pending.get(a); ok && v <= now {
-			w.pending.del(a)
-		}
+	if w.pending.live >= 4*w.cap {
+		w.pending.sweepBelow(now)
 	}
 }
 

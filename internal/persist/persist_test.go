@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -190,5 +191,60 @@ func TestWPQLogBytesSlowDrain(t *testing.T) {
 	}
 	if dl <= dp {
 		t.Errorf("logged drain (%d) should exceed plain drain (%d)", dl, dp)
+	}
+}
+
+// TestWPQPendingMatchesMapModel drives a WPQ with random Admit,
+// PendingUntil and Sweep calls — with non-monotone query cycles, as the
+// cores of a multicore machine issue them — against the pending set's
+// map semantics: an admitted address maps to its drain time, a query at or
+// past the drain deletes it, and a sweep (once the set holds 4*cap
+// entries) range-deletes every entry drained by now. Answers and the live
+// count must agree after every operation.
+func TestWPQPendingMatchesMapModel(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w := NewWPQ(24, 4)
+		ref := map[int64]int64{}
+		clock := int64(0)
+		now := func() int64 { return clock - int64(rng.Intn(400)) } // lagging cores
+		addr := func() int64 { return int64(rng.Intn(600)) * 8 }
+		for op := 0; op < 20000; op++ {
+			clock += int64(rng.Intn(6))
+			switch r := rng.Intn(10); {
+			case r < 5:
+				a := addr()
+				_, drain := w.Admit(now(), a, 8+8*rng.Intn(3))
+				if a != 0 {
+					ref[a] = drain
+				}
+			case r < 8:
+				a, n := addr(), now()
+				want := int64(0)
+				if d, ok := ref[a]; ok {
+					if d <= n {
+						delete(ref, a)
+					} else {
+						want = d
+					}
+				}
+				if got := w.PendingUntil(a, n); got != want {
+					t.Fatalf("seed %d op %d: PendingUntil(%#x, %d) = %d, map says %d", seed, op, a, n, got, want)
+				}
+			default:
+				n := now()
+				if len(ref) >= 4*w.cap {
+					for a, d := range ref {
+						if d <= n {
+							delete(ref, a)
+						}
+					}
+				}
+				w.Sweep(n)
+			}
+			if w.pending.live != len(ref) {
+				t.Fatalf("seed %d op %d: live %d != len(map) %d", seed, op, w.pending.live, len(ref))
+			}
+		}
 	}
 }

@@ -102,7 +102,11 @@ func CheckFaults(prog *ir.Program, cfg sim.Config, sch sim.Scheme, specs []sim.T
 		if err != nil {
 			return finishWithError(out, err, ci, cycle)
 		}
-		m, err = sim.NewResumed(prog, cfg, sch, specs, cs)
+		rcfg := cfg
+		if ci == plan.Depth()-1 {
+			rcfg = finalLeg(cfg)
+		}
+		m, err = sim.NewResumed(prog, rcfg, sch, specs, cs)
 		if err != nil {
 			return finishWithError(out, err, ci, cycle)
 		}

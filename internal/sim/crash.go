@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"cwsp/internal/mem"
 )
@@ -62,13 +63,7 @@ func (m *Machine) CrashAtFaults(cycle int64, cf *CrashFaults) (*CrashState, erro
 		return nil, err
 	}
 
-	// Which regions had fully persisted by the crash?
-	retired := map[int64]bool{}
-	for _, ri := range m.Regions {
-		if ri.Retire <= cycle {
-			retired[ri.Seq] = true
-		}
-	}
+	retired := m.RetiredBy(cycle)
 
 	// Ground-truth reconstruction: what a fault-free power loss leaves.
 	// The seal table is derived from it — hardware sealed every protected
@@ -93,7 +88,7 @@ func (m *Machine) CrashAtFaults(cycle int64, cf *CrashFaults) (*CrashState, erro
 		for addr := range cf.CkptXOR {
 			xaddrs = append(xaddrs, addr)
 		}
-		sort.Slice(xaddrs, func(a, b int) bool { return xaddrs[a] < xaddrs[b] })
+		slices.Sort(xaddrs)
 		for _, addr := range xaddrs {
 			faulty.Store(addr, faulty.Load(addr)^int64(cf.CkptXOR[addr]))
 		}
@@ -101,24 +96,21 @@ func (m *Machine) CrashAtFaults(cycle int64, cf *CrashFaults) (*CrashState, erro
 	}
 
 	// Restart points: per core, the oldest (minimum-Seq) unretired region.
-	// m.Regions is appended in open order, but per-core retire times need
-	// not be monotone (battery-buffered schemes retire out of order, and a
-	// descriptor log reordered by a caller must not change the answer), so
-	// scan for the explicit minimum instead of trusting list order.
+	// Per-core retire times need not be monotone (battery-buffered schemes
+	// retire out of order, and a descriptor log reordered by a caller must
+	// not change the answer), so take the explicit minimum instead of
+	// trusting list order.
+	oldest := make([]*RegionInfo, len(m.cores))
+	for _, ri := range m.Regions {
+		if ri.Retire > cycle && (oldest[ri.Core] == nil || ri.Seq < oldest[ri.Core].Seq) {
+			oldest[ri.Core] = ri
+		}
+	}
 	for _, c := range m.cores {
 		r := Restart{Core: c.id, Done: true}
-		var oldest *RegionInfo
-		for _, ri := range m.Regions {
-			if ri.Core != c.id || ri.Retire <= cycle {
-				continue
-			}
-			if oldest == nil || ri.Seq < oldest.Seq {
-				oldest = ri
-			}
-		}
-		if oldest != nil {
+		if o := oldest[c.id]; o != nil {
 			r.Done = false
-			r.Region = *oldest
+			r.Region = *o
 		}
 		if r.Done && !c.done {
 			// The core was still executing but every *closed* region
@@ -133,14 +125,33 @@ func (m *Machine) CrashAtFaults(cycle int64, cf *CrashFaults) (*CrashState, erro
 	return cs, nil
 }
 
+// RetiredBy returns a predicate reporting whether region seq had fully
+// persisted by cycle — the regions whose undo logs a crash at cycle no
+// longer rolls back. openRegion appends the descriptor log in Seq order
+// from 1, so the log is its own index (Regions[seq-1]); a log a caller
+// reordered is indexed through a sorted copy.
+func (m *Machine) RetiredBy(cycle int64) func(seq int64) bool {
+	bySeq := m.Regions
+	for i, ri := range m.Regions {
+		if ri.Seq != int64(i+1) {
+			bySeq = slices.Clone(m.Regions)
+			slices.SortFunc(bySeq, func(a, b *RegionInfo) int { return cmp.Compare(a.Seq, b.Seq) })
+			break
+		}
+	}
+	return func(seq int64) bool {
+		return seq >= 1 && seq <= int64(len(bySeq)) && bySeq[seq-1].Retire <= cycle
+	}
+}
+
 // reconstruct rewinds img (a clone of the crash-instant NVM image) to the
 // state recovery begins from, walking the journal newest-first: entries not
 // admitted by the crash never reached media, and logged entries of
 // unretired regions roll back via the MC undo logs. A non-nil cf overlays
 // hardware faults without mutating the journal.
-func (m *Machine) reconstruct(img *mem.PagedMem, cycle int64, retired map[int64]bool, cf *CrashFaults) {
-	for i := len(m.Journal) - 1; i >= 0; i-- {
-		rec := &m.Journal[i]
+func (m *Machine) reconstruct(img *mem.PagedMem, cycle int64, retired func(int64) bool, cf *CrashFaults) {
+	for i := m.Journal.Len() - 1; i >= 0; i-- {
+		rec := m.Journal.At(i)
 		old := rec.Old
 		admitted := rec.Admit <= cycle
 		if cf != nil {
@@ -155,7 +166,7 @@ func (m *Machine) reconstruct(img *mem.PagedMem, cycle int64, retired map[int64]
 			img.Store(rec.Addr, old) // never reached NVM
 			continue
 		}
-		if rec.Logged && !retired[rec.Region] {
+		if rec.Logged && !retired(rec.Region) {
 			img.Store(rec.Addr, old) // rolled back via MC undo log
 		}
 	}
@@ -166,17 +177,17 @@ func (m *Machine) reconstruct(img *mem.PagedMem, cycle int64, retired map[int64]
 	// the same word, the older value drains last and wins on media.
 	for _, pr := range cf.Reorder {
 		i, j := pr[0], pr[1]
-		if i < 0 || j < 0 || i >= len(m.Journal) || j >= len(m.Journal) {
+		if i < 0 || j < 0 || i >= m.Journal.Len() || j >= m.Journal.Len() {
 			continue
 		}
 		if j < i {
 			i, j = j, i
 		}
-		ri, rj := &m.Journal[i], &m.Journal[j]
+		ri, rj := m.Journal.At(i), m.Journal.At(j)
 		if cf.Drop[i] || cf.Drop[j] || ri.Admit > cycle || rj.Admit > cycle {
 			continue
 		}
-		if ri.Logged && !retired[ri.Region] || rj.Logged && !retired[rj.Region] {
+		if ri.Logged && !retired(ri.Region) || rj.Logged && !retired(rj.Region) {
 			continue // rollback already erased the pair's effect
 		}
 		if ri.Addr == rj.Addr {
@@ -197,14 +208,14 @@ func (m *Machine) validateJournal(cycle int64, cf *CrashFaults) error {
 	for i := range cf.TornOld {
 		torn = append(torn, i)
 	}
-	sort.Ints(torn)
+	slices.Sort(torn)
 	for _, i := range torn {
-		if i < 0 || i >= len(m.Journal) {
+		if i < 0 || i >= m.Journal.Len() {
 			continue
 		}
-		rec := m.Journal[i] // copy; apply the torn read
+		rec := *m.Journal.At(i) // copy; apply the torn read
 		rec.Old ^= int64(cf.TornOld[i])
-		if sealRec(&rec) != m.Journal[i].Seal {
+		if sealRec(&rec) != m.Journal.At(i).Seal {
 			return &CorruptionError{
 				Kind: "undo-log", Addr: rec.Addr, Index: i,
 				Detail: fmt.Sprintf("record content does not match its seal (old=%#x)", rec.Old),
@@ -213,69 +224,84 @@ func (m *Machine) validateJournal(cycle int64, cf *CrashFaults) error {
 	}
 
 	// Drain-ledger cross-check: the journal's admitted MCSeq stream per
-	// controller, versus the media-side drain order after faults.
+	// controller, versus the media-side drain order after faults. Only a
+	// faulted entry can break a controller's ledger, so each controller's
+	// faulted entries are checked in seq order and the rest of its stream
+	// is only counted, for the positions the diagnosis names.
 	type ent struct {
 		idx int
 		seq int64
 	}
-	perMC := map[int][]ent{}
-	for i := range m.Journal {
-		rec := &m.Journal[i]
-		if rec.MCSeq == 0 || rec.Admit > cycle {
-			continue
+	ledgered := func(i int) (ent, int, bool) { // an admitted WPQ entry and its MC
+		if i < 0 || i >= m.Journal.Len() {
+			return ent{}, 0, false
 		}
-		perMC[rec.MC] = append(perMC[rec.MC], ent{i, rec.MCSeq})
+		rec := m.Journal.At(i)
+		return ent{i, rec.MCSeq}, rec.MC, rec.MCSeq != 0 && rec.Admit <= cycle
 	}
-	mcs := make([]int, 0, len(perMC))
-	for mc := range perMC {
+	below := func(mc int, seq int64) int { // mc's admitted entries before seq
+		n := 0
+		for i := 0; i < m.Journal.Len(); i++ {
+			if rec := m.Journal.At(i); rec.MC == mc && rec.MCSeq != 0 && rec.MCSeq < seq && rec.Admit <= cycle {
+				n++
+			}
+		}
+		return n
+	}
+	faulted := map[int][]ent{}
+	for i, d := range cf.Drop {
+		if e, mc, ok := ledgered(i); ok && d {
+			faulted[mc] = append(faulted[mc], e)
+		}
+	}
+	for _, pr := range cf.Reorder {
+		for _, i := range pr {
+			if e, mc, ok := ledgered(i); ok && !slices.Contains(faulted[mc], e) {
+				faulted[mc] = append(faulted[mc], e)
+			}
+		}
+	}
+	mcs := make([]int, 0, len(faulted))
+	for mc := range faulted {
 		mcs = append(mcs, mc)
 	}
-	sort.Ints(mcs)
+	slices.Sort(mcs)
 	for _, mc := range mcs {
-		expect := append([]ent(nil), perMC[mc]...)
-		sort.Slice(expect, func(a, b int) bool { return expect[a].seq < expect[b].seq })
+		expect := faulted[mc]
+		slices.SortFunc(expect, func(a, b ent) int { return cmp.Compare(a.seq, b.seq) })
 		ledger := make([]ent, 0, len(expect))
 		for _, e := range expect {
 			if !cf.Drop[e.idx] {
 				ledger = append(ledger, e)
 			}
 		}
-		for _, pr := range cf.Reorder {
-			var a, b = -1, -1
-			for k, e := range ledger {
-				if e.idx == pr[0] {
-					a = k
-				}
-				if e.idx == pr[1] {
-					b = k
-				}
-			}
-			if a >= 0 && b >= 0 {
-				ledger[a], ledger[b] = ledger[b], ledger[a]
-			}
-		}
 		if len(ledger) != len(expect) {
 			missing := int64(-1)
-			have := map[int64]bool{}
-			for _, e := range ledger {
-				have[e.seq] = true
-			}
-			for _, e := range expect {
-				if !have[e.seq] {
+			for k, e := range expect {
+				if k >= len(ledger) || ledger[k] != e {
 					missing = e.seq
 					break
 				}
 			}
+			n := below(mc, math.MaxInt64)
 			return &CorruptionError{
 				Kind: "wpq-ledger", MC: mc, Seq: missing,
-				Detail: fmt.Sprintf("%d admitted entries, %d drained", len(expect), len(ledger)),
+				Detail: fmt.Sprintf("%d admitted entries, %d drained", n, n-len(expect)+len(ledger)),
+			}
+		}
+		for _, pr := range cf.Reorder {
+			a := slices.IndexFunc(ledger, func(e ent) bool { return e.idx == pr[0] })
+			b := slices.IndexFunc(ledger, func(e ent) bool { return e.idx == pr[1] })
+			if a >= 0 && b >= 0 {
+				ledger[a], ledger[b] = ledger[b], ledger[a]
 			}
 		}
 		for k := range expect {
-			if ledger[k].seq != expect[k].seq {
+			if ledger[k] != expect[k] {
 				return &CorruptionError{
 					Kind: "wpq-ledger", MC: mc, Seq: expect[k].seq,
-					Detail: fmt.Sprintf("drain order inverted (drained seq %d at position %d)", ledger[k].seq, k),
+					Detail: fmt.Sprintf("drain order inverted (drained seq %d at position %d)",
+						ledger[k].seq, below(mc, expect[k].seq)),
 				}
 			}
 		}
@@ -286,14 +312,9 @@ func (m *Machine) validateJournal(cycle int64, cf *CrashFaults) error {
 // sealCkptArea seals every checkpoint-area word the journal touched,
 // against its content in the correctly reconstructed image.
 func (m *Machine) sealCkptArea(img *mem.PagedMem) map[int64]uint64 {
-	seals := map[int64]uint64{}
-	for i := range m.Journal {
-		addr := m.Journal[i].Addr
-		if IsCkptArea(addr) {
-			if _, ok := seals[addr]; !ok {
-				seals[addr] = SealWord(addr, img.Load(addr))
-			}
-		}
+	seals := make(map[int64]uint64, len(m.ckptAddrs))
+	for _, addr := range m.ckptAddrs {
+		seals[addr] = SealWord(addr, img.Load(addr))
 	}
 	return seals
 }
@@ -302,17 +323,7 @@ func (m *Machine) sealCkptArea(img *mem.PagedMem) map[int64]uint64 {
 // has touched so far — the slots a checkpoint-corruption fault can target
 // (and exactly the set NewResumed scrubs).
 func (m *Machine) SealedCkptAddrs() []int64 {
-	seen := map[int64]bool{}
-	var out []int64
-	for i := range m.Journal {
-		addr := m.Journal[i].Addr
-		if IsCkptArea(addr) && !seen[addr] {
-			seen[addr] = true
-			out = append(out, addr)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	return slices.Clone(m.ckptAddrs)
 }
 
 // MaxRetire reports the latest region retirement time (useful to pick

@@ -167,12 +167,12 @@ func TestJournalRecordsSealed(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Journal) == 0 {
+	if m.Journal.Len() == 0 {
 		t.Fatal("no journal records")
 	}
 	admitted := 0
-	for i := range m.Journal {
-		rec := m.Journal[i]
+	for i := 0; i < m.Journal.Len(); i++ {
+		rec := *m.Journal.At(i)
 		if sealRec(&rec) != rec.Seal {
 			t.Fatalf("journal[%d] (addr %#x) seal mismatch", i, rec.Addr)
 		}
@@ -199,13 +199,13 @@ func tornVictim(m *Machine, crash int64) (int, bool) {
 	// rolling back the same word would mask the fault in the unsealed
 	// control).
 	first := map[int64]int{}
-	for i := range m.Journal {
-		if _, ok := first[m.Journal[i].Addr]; !ok {
-			first[m.Journal[i].Addr] = i
+	for i := 0; i < m.Journal.Len(); i++ {
+		if _, ok := first[m.Journal.At(i).Addr]; !ok {
+			first[m.Journal.At(i).Addr] = i
 		}
 	}
-	for i := range m.Journal {
-		if m.Journal[i].Logged && !retired[m.Journal[i].Region] && first[m.Journal[i].Addr] == i {
+	for i := 0; i < m.Journal.Len(); i++ {
+		if m.Journal.At(i).Logged && !retired[m.Journal.At(i).Region] && first[m.Journal.At(i).Addr] == i {
 			return i, true
 		}
 	}
@@ -251,8 +251,8 @@ func TestTornLogDetected(t *testing.T) {
 // wpqVictims finds two adjacent-ordinal admitted entries of one MC.
 func wpqVictims(m *Machine, crash int64) ([2]int, bool) {
 	byMC := map[int]map[int64]int{}
-	for i := range m.Journal {
-		rec := &m.Journal[i]
+	for i := 0; i < m.Journal.Len(); i++ {
+		rec := m.Journal.At(i)
 		if rec.MCSeq == 0 || rec.Admit > crash {
 			continue
 		}

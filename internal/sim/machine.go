@@ -14,6 +14,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cwsp/internal/ir"
@@ -98,8 +99,13 @@ type Machine struct {
 	Sch  Scheme
 	Prog *ir.Program
 
-	Mem *mem.PagedMem // architectural memory (caches + NVM union)
-	NVM *mem.PagedMem // persisted image
+	// Mem is architectural memory (caches + NVM union); NVM is the
+	// persisted image. Persistent schemes persist every store as it
+	// commits, so the two always hold the same contents and NVM == Mem is
+	// one image; base schemes keep a separate NVM image that only
+	// InitWord writes.
+	Mem *mem.PagedMem
+	NVM *mem.PagedMem
 
 	l2   *mem.Cache
 	l3   *mem.Cache
@@ -115,7 +121,13 @@ type Machine struct {
 	// recovery re-execute both critical sections concurrently.
 	syncClock int64
 	Regions   []*RegionInfo // recovery descriptor log (Recoverable only)
-	Journal   []persist.Rec // persist-event journal (Recoverable only)
+	Journal   Journal       // persist-event journal (Recoverable only)
+	// ckptSeen marks (value 1) the checkpoint-area words the journal has
+	// touched; ckptAddrs lists them ascending — the slots the crash state
+	// seals and a checkpoint-corruption fault can target.
+	ckptSeen  *mem.PagedMem
+	ckptAddrs []int64
+	infoSlab  []RegionInfo // unused descriptors for the Regions log
 
 	funcNames []string
 	funcIdx   map[string]int
@@ -162,8 +174,11 @@ type Result struct {
 	Stats  Stats
 	Ret    []int64 // per-core return values
 	Output []int64
-	NVM    *mem.PagedMem
-	Mem    *mem.PagedMem
+	// NVM is the persisted image and Mem the architectural one. Under
+	// persistent schemes they are the same image (NVM == Mem): a caller
+	// must not mutate one expecting the other to stay unchanged.
+	NVM *mem.PagedMem
+	Mem *mem.PagedMem
 }
 
 // ThreadSpec assigns a function to a core.
@@ -207,8 +222,14 @@ func NewThreaded(prog *ir.Program, cfg Config, sch Scheme, specs []ThreadSpec) (
 		Sch:  sch,
 		Prog: prog,
 		Mem:  mem.NewPagedMem(),
-		NVM:  mem.NewPagedMem(),
 		l2:   mem.NewCache("l2", cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes),
+	}
+	m.NVM = m.Mem
+	if !sch.Persist {
+		m.NVM = mem.NewPagedMem()
+	}
+	if cfg.Recoverable {
+		m.ckptSeen = mem.NewPagedMem()
 	}
 	if cfg.L3Bytes > 0 {
 		m.l3 = mem.NewCache("l3", cfg.L3Bytes, cfg.L3Ways, cfg.LineBytes)
@@ -289,16 +310,27 @@ func (m *Machine) InitWord(addr, val int64) { m.initWord(addr, val) }
 
 func (m *Machine) initWord(addr, val int64) {
 	m.Mem.Store(addr, val)
-	m.NVM.Store(addr, val)
+	if m.NVM != m.Mem {
+		m.NVM.Store(addr, val)
+	}
 }
 
 func (m *Machine) openRegion(c *core, fn string, staticID int, ref ir.InstrRef, depth int, sp int64, start int64) *regionState {
 	m.regionSeq++
 	var ri *RegionInfo
-	if n := len(c.freeInfos); n > 0 {
+	switch n := len(c.freeInfos); {
+	case n > 0:
 		ri = c.freeInfos[n-1]
 		c.freeInfos = c.freeInfos[:n-1]
-	} else {
+	case m.Cfg.Recoverable:
+		// Logged descriptors live as long as the machine: carve them from
+		// slabs instead of allocating each.
+		if len(m.infoSlab) == 0 {
+			m.infoSlab = make([]RegionInfo, 256)
+		}
+		ri = &m.infoSlab[0]
+		m.infoSlab = m.infoSlab[1:]
+	default:
 		ri = &RegionInfo{}
 	}
 	*ri = RegionInfo{
@@ -519,6 +551,10 @@ func (m *Machine) memLoad(c *core, addr int64) int64 {
 // memStore performs an architectural store with timing and (scheme
 // permitting) asynchronous persistence.
 func (m *Machine) memStore(c *core, addr, val int64) {
+	var old int64
+	if m.Sch.Persist && m.Cfg.Recoverable {
+		old = m.Mem.Load(addr) // the journal's pre-store NVM word (NVM == Mem)
+	}
 	m.Mem.Store(addr, val)
 	hit, ev := c.l1d.Access(addr, true)
 	m.handleEviction(c, ev)
@@ -537,9 +573,7 @@ func (m *Machine) memStore(c *core, addr, val int64) {
 	if m.Sch.DedupLines && c.cur != nil {
 		line := addr &^ int64(m.Cfg.LineBytes-1)
 		if c.lines.insert(line) {
-			// Coalesced into an already-buffered redo line.
-			m.NVM.Store(addr, val)
-			return
+			return // coalesced into an already-buffered redo line
 		}
 	}
 
@@ -564,11 +598,6 @@ func (m *Machine) memStore(c *core, addr, val int64) {
 	commit := c.cycle
 	proceed, admit := c.path.Send(commit, addr, bytes, m.wpqs[mc], int64(mc)*m.Cfg.NUMAStep, logBytes)
 	c.cycle = proceed
-	var old int64
-	if m.Cfg.Recoverable {
-		old = m.NVM.Load(addr) // journal needs the pre-store NVM word
-	}
-	m.NVM.Store(addr, val)
 	if m.tel != nil {
 		m.tel.PersistLat.Observe(admit - commit)
 		if proceed > commit {
@@ -590,17 +619,25 @@ func (m *Machine) memStore(c *core, addr, val int64) {
 		c.cur.persistMax = admit
 	}
 	if m.Cfg.Recoverable {
-		seq := int64(0)
-		if c.cur != nil {
-			seq = c.cur.info.Seq
-		}
-		rec := persist.Rec{
-			Addr: addr, Old: old, New: val, Admit: admit,
-			Region: seq, Logged: logged, Core: c.id,
-			MC: mc, MCSeq: m.wpqs[mc].Admits,
-		}
-		rec.Seal = sealRec(&rec)
-		m.Journal = append(m.Journal, rec)
+		m.journalStore(c, addr, old, val, admit, logged, mc, m.wpqs[mc].Admits)
+	}
+}
+
+// journalStore appends one persist event to the journal, tagged with the
+// core and its current region and sealed; a checkpoint-area address joins
+// the sealed slot set.
+func (m *Machine) journalStore(c *core, addr, old, val, admit int64, logged bool, mc int, mcSeq int64) {
+	r := m.Journal.add() // filled in place: a record is 80 bytes
+	r.Addr, r.Old, r.New, r.Admit = addr, old, val, admit
+	r.Logged, r.Core, r.MC, r.MCSeq = logged, c.id, mc, mcSeq
+	if c.cur != nil {
+		r.Region = c.cur.info.Seq
+	}
+	r.Seal = sealRec(r)
+	if IsCkptArea(addr) && m.ckptSeen.Load(addr) == 0 {
+		m.ckptSeen.Store(addr, 1)
+		i, _ := slices.BinarySearch(m.ckptAddrs, addr)
+		m.ckptAddrs = slices.Insert(m.ckptAddrs, i, addr)
 	}
 }
 
@@ -609,29 +646,16 @@ func (m *Machine) memStore(c *core, addr, val int64) {
 // to crashes: every store in one group carries the same persistence
 // timestamp, so a crash either sees the whole group or none of it).
 func (m *Machine) syncStore(c *core, addr, val int64, logged bool, commit int64) {
+	var old int64
+	if m.Sch.Persist && m.Cfg.Recoverable {
+		old = m.Mem.Load(addr) // the journal's pre-store NVM word (NVM == Mem)
+	}
 	m.Mem.Store(addr, val)
 	c.l1d.Access(addr, true) // keep cache state warm; evictions immaterial here
-	if !m.Sch.Persist {
-		return
-	}
-	var old int64
-	if m.Cfg.Recoverable {
-		old = m.NVM.Load(addr)
-	}
-	m.NVM.Store(addr, val)
-	if m.Cfg.Recoverable {
-		seq := int64(0)
-		if c.cur != nil {
-			seq = c.cur.info.Seq
-		}
+	if m.Sch.Persist && m.Cfg.Recoverable {
 		// Synchronous persists bypass the WPQ (MCSeq 0): the drain-ledger
 		// cross-check does not cover them, but their records are sealed.
-		rec := persist.Rec{
-			Addr: addr, Old: old, New: val, Admit: commit,
-			Region: seq, Logged: logged, Core: c.id,
-		}
-		rec.Seal = sealRec(&rec)
-		m.Journal = append(m.Journal, rec)
+		m.journalStore(c, addr, old, val, commit, logged, 0, 0)
 	}
 }
 

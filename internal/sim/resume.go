@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cwsp/internal/ir"
 )
@@ -24,9 +24,13 @@ func NewResumed(prog *ir.Program, cfg Config, sch Scheme, specs []ThreadSpec, cs
 		return nil, err
 	}
 	// Replace the fresh memory with the recovered NVM image. Caches start
-	// cold; architectural memory = NVM after a power cycle.
+	// cold; architectural memory = NVM after a power cycle (one image under
+	// persistent schemes, see Machine.NVM).
 	m.Mem = cs.NVM.Clone()
-	m.NVM = cs.NVM.Clone()
+	m.NVM = m.Mem
+	if !sch.Persist {
+		m.NVM = cs.NVM.Clone()
+	}
 
 	// Scrub the checkpoint area against the crash state's seal table before
 	// executing anything: a corrupted slot must surface as a typed error,
@@ -37,7 +41,7 @@ func NewResumed(prog *ir.Program, cfg Config, sch Scheme, specs []ThreadSpec, cs
 		for a := range cs.Seals {
 			addrs = append(addrs, a)
 		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+		slices.Sort(addrs)
 		for _, a := range addrs {
 			if SealWord(a, m.NVM.Load(a)) != cs.Seals[a] {
 				return nil, &CorruptionError{

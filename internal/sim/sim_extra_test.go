@@ -220,7 +220,7 @@ func TestRecoverableJournalGrows(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Journal) == 0 || len(m.Regions) == 0 {
+	if m.Journal.Len() == 0 || len(m.Regions) == 0 {
 		t.Error("recoverable run must journal persists and regions")
 	}
 	// Non-recoverable runs must not pay the memory cost.
@@ -232,7 +232,7 @@ func TestRecoverableJournalGrows(t *testing.T) {
 	if _, err := m2.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(m2.Journal) != 0 || len(m2.Regions) != 0 {
+	if m2.Journal.Len() != 0 || len(m2.Regions) != 0 {
 		t.Error("non-recoverable run journaled anyway")
 	}
 }
